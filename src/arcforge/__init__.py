@@ -7,27 +7,26 @@ checks (``bounds``), portable certificates (``certify``), and the command
 line (``cli``).
 """
 
-from .arc import Arc, CoverageState, coverage_add, new_coverage_gain, verify_arc, verify_complete
+from .arc import Arc, Coverage, verify_arc, verify_complete
 from .bounds import (
     BoundRecord, KnownTable, check_conjecture, check_observations,
     check_theorem_bands, compute_record, default_table, emit_stats_csv,
     lower_bound, multiplier_a_q,
 )
 from .certify import VerifyReport, read_and_verify, write_certificate
-from .gf import Field, field_new, field_of_order
+from .gf import Field, field_of_order
 from .greedy import SearchConfig, SearchReport, complete_extension, greedy_trial, search
 from .plane import PlaneIndex, build_plane, incidence, line_through, points_on_line
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "BoundRecord", "CoverageState", "Field", "KnownTable",
+    "Arc", "BoundRecord", "Coverage", "Field", "KnownTable",
     "PlaneIndex", "SearchConfig", "SearchReport", "VerifyReport",
     "build_plane", "check_conjecture", "check_observations",
     "check_theorem_bands", "complete_extension", "compute_record",
-    "coverage_add", "default_table", "emit_stats_csv", "field_new",
-    "field_of_order", "greedy_trial", "incidence", "line_through",
-    "lower_bound", "multiplier_a_q", "new_coverage_gain", "points_on_line",
-    "read_and_verify", "search", "verify_arc", "verify_complete",
-    "write_certificate",
+    "default_table", "emit_stats_csv", "field_of_order", "greedy_trial",
+    "incidence", "line_through", "lower_bound", "multiplier_a_q",
+    "points_on_line", "read_and_verify", "search", "verify_arc",
+    "verify_complete", "write_certificate",
 ]

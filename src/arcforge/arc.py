@@ -6,9 +6,11 @@ line through two arc points); the arc is complete exactly when every point
 is covered, since an uncovered point could always be adjoined.
 
 ``verify_arc`` / ``verify_complete`` recompute everything from scratch and
-serve as the independent verifiers.  ``CoverageState`` plus ``coverage_add``
-maintain the same information incrementally for search loops, and
-``new_coverage_gain`` scores a candidate without mutating anything.
+serve as the independent verifiers.  ``Coverage`` is the one incremental
+kernel: it adjoins uncovered points one at a time, keeps the covered mask
+and the uncovered count of every line through the arc, and from those
+scores candidates by their exact coverage gain.  The greedy search, arc
+extension and the oracle tests all run it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .plane import PlaneIndex
 
 _LINE_CHUNK = 2048  # bounds the (lines x q+1) marking buffers
+_GAIN_CHUNK = 1 << 22  # elements per (candidates x arc) scoring block
 
 
 class NotAnArc(ValueError):
@@ -96,19 +99,23 @@ def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
     return len(uncovered) == 0, [int(x) for x in uncovered]
 
 
-class CoverageState:
-    """Covered-point bitset plus per-line arc-point counters.
+class Coverage:
+    """Incremental secant coverage of a growing arc (single-owner).
 
-    ``line_arc_counts[l]`` is the number of arc points on line l (0, 1, or
-    2 for a valid arc); a line is a secant exactly when the count is 2.
-    Single-owner mutable state: never share between concurrent workers.
+    Holds the covered-point mask and its popcount, the arc's points and
+    coordinate rows, and ``uncov_on_line[l]``: the number of uncovered
+    points on line l, kept exact for every line through an arc point
+    (entries for lines missing the arc are unused).  Never share one
+    instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
         self.plane = plane
         self.covered = np.zeros(plane.n_points, dtype=bool)
         self.covered_count = 0
-        self.line_arc_counts = np.zeros(plane.n_lines, dtype=np.int8)
+        self.uncov_on_line = np.zeros(plane.n_lines, dtype=np.int64)
+        self.arc_points: list[int] = []
+        self.arc_coords = np.empty((0, 3), dtype=plane._dt)
 
     def is_complete(self) -> bool:
         return self.covered_count == self.plane.n_points
@@ -116,45 +123,53 @@ class CoverageState:
     def uncovered_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.covered)
 
+    def add(self, pid: int) -> None:
+        """Adjoin an uncovered point: cover its new secants, update counts."""
+        if self.covered[pid]:
+            raise CoveredPoint(f"point {pid} is already covered")
+        pl = self.plane
+        p_coord = pl.triples_of_ids(np.asarray([pid], dtype=np.int64))
+        k = len(self.arc_points)
+        if k:
+            secants = pl.join_ids(p_coord, self.arc_coords)
+            sec_pts = pl.points_on_lines_arr(secants).ravel()
+            newly = np.unique(sec_pts[~self.covered[sec_pts]])
+            # every tangent through a freshly covered point loses it exactly
+            # once: those lines are the joins to the k existing arc points
+            dec = pl.join_ids(pl.triples_of_ids(newly)[:, None, :],
+                              self.arc_coords[None, :, :])
+            self.uncov_on_line -= np.bincount(dec.ravel(), minlength=pl.n_lines)
+            self.covered[newly] = True
+            self.covered_count += len(newly)
+        else:
+            self.covered[pid] = True
+            self.covered_count += 1
+        # fresh counts for the whole pencil at the new point (this also
+        # overwrites the stale entries of the new secants, which run through it)
+        pencil = pl.lines_through_points_arr(np.asarray([pid], dtype=np.int64))[0]
+        pen_pts = pl.points_on_lines_arr(pencil)
+        self.uncov_on_line[pencil] = (pl.q + 1) - self.covered[pen_pts].sum(axis=1)
+        self.arc_points.append(int(pid))
+        self.arc_coords = np.concatenate([self.arc_coords, p_coord.reshape(1, 3)])
 
-def coverage_add(state: CoverageState, arc: Arc, pid: int) -> tuple[CoverageState, Arc]:
-    """Add an uncovered point: mark its new secants, update all counters."""
-    pl = state.plane
-    if pl is not arc.plane:
-        raise ValueError("state and arc live on different planes")
-    if state.covered[pid]:
-        raise CoveredPoint(f"point {pid} is already covered")
-    p_coords = pl.triples_of_ids(np.asarray([pid], dtype=np.int64))
-    if arc.points:
-        secants = pl.join_ids(p_coords, arc.coords())
-        for lo in range(0, len(secants), _LINE_CHUNK):
-            pts = pl.points_on_lines_arr(secants[lo:lo + _LINE_CHUNK])
-            state.covered[pts.ravel()] = True
-    else:
-        state.covered[pid] = True
-    state.covered_count = int(state.covered.sum())
-    pencil = pl.lines_through_points_arr(np.asarray([pid], dtype=np.int64))[0]
-    state.line_arc_counts[pencil] += 1
-    arc.append(pid)
-    return state, arc
+    def gains(self, cand_ids: np.ndarray) -> np.ndarray:
+        """Exact number of points each uncovered candidate would newly cover.
 
-
-def new_coverage_gain(state: CoverageState, arc: Arc, pid: int) -> int:
-    """Coverage delta if ``pid`` were added, without mutating anything.
-
-    Exact: iterates the k lines joining the candidate to each arc point and
-    popcounts their uncovered points.  Each such line is a tangent (one arc
-    point), and two of them meet only at the candidate, so the union double
-    counts nothing except the candidate itself.
-    """
-    pl = state.plane
-    if state.covered[pid]:
-        raise CoveredPoint(f"point {pid} is already covered")
-    k = len(arc.points)
-    if k == 0:
-        return 1
-    p_coords = pl.triples_of_ids(np.asarray([pid], dtype=np.int64))
-    lids = pl.join_ids(p_coords, arc.coords())
-    pts = pl.points_on_lines_arr(lids)
-    fresh = (~state.covered[pts]).sum()
-    return int(fresh) - k + 1
+        The k lines joining a candidate to the arc points are tangents that
+        pairwise meet only at the candidate, so its gain is the sum of
+        their uncovered counts minus the k - 1 repeats of the candidate.
+        """
+        if self.covered[cand_ids].any():
+            raise CoveredPoint("gains are defined for uncovered points only")
+        k = len(self.arc_points)
+        if k == 0:
+            return np.ones(len(cand_ids), dtype=np.int64)
+        pl = self.plane
+        out = np.empty(len(cand_ids), dtype=np.int64)
+        step = max(1, _GAIN_CHUNK // k)
+        for lo in range(0, len(cand_ids), step):
+            chunk = cand_ids[lo:lo + step]
+            coords = pl.triples_of_ids(chunk)
+            lids = pl.join_ids(coords[:, None, :], self.arc_coords[None, :, :])
+            out[lo:lo + step] = self.uncov_on_line[lids].sum(axis=1)
+        return out - (k - 1)

@@ -35,39 +35,6 @@ D_AVER = 0.95579
 
 Q_SET = frozenset({961, 1024, 1369, 1681, 2401})
 
-# named q-batches carried along with the reference dataset
-SPECIAL_SETS: dict[str, frozenset[int]] = {
-    "Q": Q_SET,
-    "T2": frozenset({5119, 5147, 5153, 5209, 5231, 5237, 5261, 5279, 5281,
-                     5303, 5347, 5641, 5843, 6011, 8192}),
-    "T3": frozenset({2**14, 2**15, 2**18}),
-    "T4": frozenset({359, 367, 401, 419, 512, 541, 571, 643, 653, 719, 773,
-                     787}),
-    "T5": frozenset({857, 881, 919, 929, 941, 953, 967, 1019, 1031, 1069,
-                     1097, 1109, 1123, 1151, 1163, 1187, 1201, 1217, 1231,
-                     1259, 1289, 1301, 1319, 1331, 1361, 1373, 1433, 1447,
-                     1493, 1511, 1523, 1553, 1567, 1571, 1583, 1597, 1601,
-                     1613, 1627, 1663, 1693, 1697, 1723, 1741, 1759, 1777,
-                     1789, 1823, 1871, 1873, 1889, 1907, 1973, 1987, 1993,
-                     2003, 2039, 2111, 2113, 2129, 2131, 2141, 2143, 2179,
-                     2197, 2213, 2237, 2251, 2269, 2287, 2309, 2339, 2341,
-                     2357, 2399, 2411, 2417, 2437, 2467, 2473, 2531, 2609,
-                     2617, 2621}),
-    "T6": frozenset({2657, 2659, 2663, 2677, 2683, 2699, 2719, 2741, 2797,
-                     2801, 2819, 2833, 2837, 2851, 2857, 2879, 2897, 2917,
-                     2953, 2957, 2971, 2999, 3011, 3019, 3037, 3041, 3061,
-                     3137, 3181, 3217, 3221, 3259, 3307, 3329, 3331, 3371,
-                     3373, 3391, 3407, 3449, 3461, 3527, 3541, 3547, 3557,
-                     3581, 3613, 3631, 3671, 3673, 3677, 3691, 3697, 3701,
-                     3719, 3721, 3761, 3767, 3823, 3833, 3847, 3851, 3877,
-                     3917, 3923, 3943, 3947, 3989, 4007, 4051, 4079, 4096,
-                     4127, 4129, 4201, 4337, 4339, 4391, 4409, 4451, 4483,
-                     4507, 4603, 4621, 4673, 4729, 4751, 4793, 4799, 4903,
-                     4931, 4973, 4999, 5023, 5051, 5077, 5081, 5099, 5101,
-                     5153, 5209, 5231, 5261, 5279, 5281, 5347, 5641, 6011,
-                     8192}),
-}
-
 # q values with sizes below 4.5*sqrt(q) in the 4.8/5 region
 SPORADIC_45 = frozenset({2659, 2663, 2683, 2693, 2753, 2801})
 
@@ -525,8 +492,3 @@ def emit_stats_csv(out_file, table: KnownTable | None = None, c: float = 0.75,
             f"{r.d075:.6g}", f"{r.t_hat:.6g}", f"{r.delta:.6g}", f"{r.p_pct:.6g}",
         ])
     return len(rows)
-
-
-def kim_vu_form(q: int, c: float, d: float) -> float:
-    """Evaluator for the asymptotic constant-form bound d*sqrt(q)*ln^c q."""
-    return d * math.sqrt(q) * math.log(q) ** c

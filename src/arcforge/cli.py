@@ -23,8 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="randomized greedy search for one q")
     s.add_argument("--q", type=int, required=True)
-    s.add_argument("--p", type=int, help="characteristic, for logging only")
-    s.add_argument("--h", type=int, help="extension degree, for logging only")
     s.add_argument("--trials", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", type=int,
@@ -54,12 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_search(args) -> int:
-    ph = factor_prime_power(args.q)
-    if ph is None:
+    if factor_prime_power(args.q) is None:
         print(f"error: q = {args.q} is not a prime power", file=sys.stderr)
-        return 2
-    if args.p is not None and args.h is not None and args.p ** args.h != args.q:
-        print(f"error: {args.p}^{args.h} != {args.q}", file=sys.stderr)
         return 2
     try:
         cfg = greedy.SearchConfig(
@@ -70,17 +64,16 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    plane = greedy._plane_for(cfg)
     try:
-        report = greedy.search(cfg, jobs=max(args.jobs, 1))
+        report = greedy.search(cfg, jobs=max(args.jobs, 1), plane=plane)
     except greedy.BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(report.summary())
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.out:
-        plane = greedy._plane_for(cfg)
-        from .arc import Arc
-        certify.write_certificate(Arc(plane, report.best_points), args.out,
+        certify.write_certificate(report.best_arc(plane), args.out,
                                   complete=True)
         print(f"certificate written to {args.out}", file=sys.stderr)
     return 0

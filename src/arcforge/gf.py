@@ -395,11 +395,6 @@ class Field:
         return out
 
 
-def field_new(p: int, h: int) -> Field:
-    """Field with the lexicographically least irreducible modulus."""
-    return Field(p, h)
-
-
 def field_of_order(q: int) -> Field:
     """Field of order q, factoring q = p**h automatically."""
     ph = factor_prime_power(q)

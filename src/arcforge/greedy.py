@@ -20,11 +20,13 @@ works at any q, and a lockstep batched engine over dense incidence tables
 that amortizes per-step overhead for small q -- so searches are reproducible
 under any batching or parallel schedule.
 
-Scoring is exact but incremental: the engine tracks how many uncovered
-points remain on every line through the current arc, so a candidate's gain
-is one plus the sum over the lines joining it to each arc point (all
-tangents, pairwise meeting only at the candidate) of their uncovered counts
-minus one.
+Scoring is exact but incremental.  The single-trial engine is the coverage
+kernel ``arc.Coverage`` plus an RNG and a candidate policy: the kernel
+tracks how many uncovered points remain on every line through the current
+arc, so a candidate's gain is one plus the sum over the lines joining it to
+each arc point (all tangents, pairwise meeting only at the candidate) of
+their uncovered counts minus one.  The batched engine keeps the same counts
+in dense per-trial arrays.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .arc import Arc, NotAnArc, verify_arc, verify_complete
+from .arc import _GAIN_CHUNK, Arc, Coverage, NotAnArc, verify_arc, verify_complete
 from .gf import factor_prime_power, field_of_order
 from .plane import DEFAULT_POINT_CAP, PlaneIndex, build_plane
 
-_GAIN_CHUNK = 1 << 22   # elements per (candidates x arc) scoring block
 _BATCH_TRIALS = 64      # lockstep trials per batch in the table engine
 
 
@@ -151,68 +152,21 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 # single-trial engine (any q, exact or sampled candidates)
 # ---------------------------------------------------------------------------
 
-class _Trial:
-    """Mutable state of one greedy run (single-owner)."""
+class _Trial(Coverage):
+    """One greedy run: the coverage kernel plus its RNG and candidate policy."""
 
     def __init__(self, plane: PlaneIndex, rng: np.random.Generator,
                  top_k: int = 1, policy: str = "exact", sample_size: int = 4096,
                  seed_arc_size: int = 2):
-        self.plane = plane
+        super().__init__(plane)
         self.rng = rng
         self.top_k = top_k
         self.policy = policy
         self.sample_size = sample_size
         self.seed_arc_size = seed_arc_size
-        n = plane.n_points
-        self.covered = np.zeros(n, dtype=bool)
-        self.covered_count = 0
-        self.uncov_on_line = np.zeros(n, dtype=np.int64)
-        self.arc_points: list[int] = []
-        self.arc_coords = np.empty((0, 3), dtype=plane._dt)
-
-    def add(self, pid: int) -> None:
-        pl = self.plane
-        p_coord = pl.triples_of_ids(np.asarray([pid], dtype=np.int64))
-        k = len(self.arc_points)
-        if k:
-            secants = pl.join_ids(p_coord, self.arc_coords)
-            sec_pts = pl.points_on_lines_arr(secants).ravel()
-            newly = np.unique(sec_pts[~self.covered[sec_pts]])
-            # every tangent through a freshly covered point loses it exactly
-            # once: those lines are the joins to the k existing arc points
-            dec = pl.join_ids(pl.triples_of_ids(newly)[:, None, :],
-                              self.arc_coords[None, :, :])
-            self.uncov_on_line -= np.bincount(dec.ravel(), minlength=pl.n_lines)
-            self.covered[newly] = True
-            self.covered_count += len(newly)
-        else:
-            self.covered[pid] = True
-            self.covered_count += 1
-        # fresh counts for the whole pencil at the new point (this also
-        # overwrites the stale entries of the new secants, which run through it)
-        pencil = pl.lines_through_points_arr(np.asarray([pid], dtype=np.int64))[0]
-        pen_pts = pl.points_on_lines_arr(pencil)
-        self.uncov_on_line[pencil] = (pl.q + 1) - self.covered[pen_pts].sum(axis=1)
-        self.arc_points.append(int(pid))
-        self.arc_coords = np.concatenate([self.arc_coords, p_coord.reshape(1, 3)])
-
-    def gains(self, cand_ids: np.ndarray) -> np.ndarray:
-        """Exact coverage deltas (up to a shared constant) for candidates."""
-        k = len(self.arc_points)
-        if k == 0:
-            return np.ones(len(cand_ids), dtype=np.int64)
-        pl = self.plane
-        out = np.empty(len(cand_ids), dtype=np.int64)
-        step = max(1, _GAIN_CHUNK // k)
-        for lo in range(0, len(cand_ids), step):
-            chunk = cand_ids[lo:lo + step]
-            coords = pl.triples_of_ids(chunk)
-            lids = pl.join_ids(coords[:, None, :], self.arc_coords[None, :, :])
-            out[lo:lo + step] = self.uncov_on_line[lids].sum(axis=1)
-        return out - (k - 1)
 
     def select(self) -> int:
-        cands = np.flatnonzero(~self.covered)
+        cands = self.uncovered_ids()
         if self.policy == "sample" and len(cands) > self.sample_size:
             cands = np.sort(self.rng.choice(cands, size=self.sample_size,
                                             replace=False))
@@ -228,8 +182,7 @@ class _Trial:
         return int(pool[self.rng.integers(len(pool))])
 
     def run(self) -> list[int]:
-        n = self.plane.n_points
-        while self.covered_count < n:
+        while not self.is_complete():
             self.add(self.select())
         return self.arc_points
 
@@ -349,13 +302,13 @@ def complete_extension(plane: PlaneIndex, arc: Arc,
     """Extend an arc by uniformly random uncovered points until complete."""
     if not verify_arc(arc):
         raise NotAnArc("cannot extend: input fails the arc property")
-    trial = _Trial(plane, rng)
+    cov = Coverage(plane)
     for pid in arc.points:
-        trial.add(pid)
-    while trial.covered_count < plane.n_points:
-        unc = np.flatnonzero(~trial.covered)
-        trial.add(int(unc[rng.integers(len(unc))]))
-    return Arc(plane, trial.arc_points)
+        cov.add(pid)
+    while not cov.is_complete():
+        unc = cov.uncovered_ids()
+        cov.add(int(unc[rng.integers(len(unc))]))
+    return Arc(plane, cov.arc_points)
 
 
 def _plane_for(cfg: SearchConfig) -> PlaneIndex:
@@ -397,13 +350,14 @@ def _run_indices(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
 _WORKER_PLANES: dict[tuple[int, int], PlaneIndex] = {}
 
 
-def _worker_run(cfg: SearchConfig, indices: list[int]) -> list[tuple[int, list[int]]]:
+def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
+                deadline: float | None) -> list[tuple[int, list[int]]]:
     """Process-pool entry point; planes are rebuilt once per worker."""
     key = (cfg.q, cfg.point_cap)
     plane = _WORKER_PLANES.get(key)
     if plane is None:
         plane = _WORKER_PLANES[key] = _plane_for(cfg)
-    return _run_indices(plane, cfg, indices)
+    return _run_indices(plane, cfg, indices, stop_at=stop_at, deadline=deadline)
 
 
 def search(cfg: SearchConfig, jobs: int = 1,
@@ -419,6 +373,7 @@ def search(cfg: SearchConfig, jobs: int = 1,
         plane = _plane_for(cfg)
     target = cfg.resolved_target()
     block = max(jobs, 1) * _BATCH_TRIALS
+    deadline = None if cfg.time_budget is None else t0 + cfg.time_budget
 
     results: list[tuple[int, list[int]]] = []
     budget_dead = False
@@ -438,18 +393,23 @@ def search(cfg: SearchConfig, jobs: int = 1,
                 break
             idxs = list(range(done, min(done + block, cfg.trials)))
             if pool is None:
-                deadline = (None if cfg.time_budget is None
-                            else t0 + cfg.time_budget)
                 results.extend(_run_indices(plane, cfg, idxs,
                                             stop_at=target, deadline=deadline))
             else:
                 chunks = [c for c in (idxs[i::jobs] for i in range(jobs)) if c]
-                futs = [pool.submit(_worker_run, cfg, c) for c in chunks]
+                futs = [pool.submit(_worker_run, cfg, c, target, deadline)
+                        for c in chunks]
                 merged: dict[int, tuple[int, list[int]]] = {}
                 for c, f in zip(chunks, futs):
                     for i, res in zip(c, f.result()):
                         merged[i] = res
-                results.extend(merged[i] for i in idxs)
+                # workers stop early on a hit or the deadline; keeping the
+                # run of consecutive indices keeps every index up to the
+                # first hit, so the merge rule below sees what jobs=1 sees
+                for i in idxs:
+                    if i not in merged:
+                        break
+                    results.append(merged[i])
             done = len(results)
             if target is not None and any(s <= target for s, _ in results):
                 break

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arcforge import bounds
-from arcforge.arc import Arc, CoverageState, coverage_add, verify_arc, verify_complete
+from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
 from arcforge.certify import read_and_verify, write_certificate
 from arcforge.cli import main
 from arcforge.gf import field_of_order, is_prime
@@ -112,23 +112,37 @@ def test_criterion_6_oracle_equivalence():
         inc = pl.dot_triples(tri[:, None, :], tri[None, :, :]) == 0
         rng = np.random.default_rng(q)
         for _ in range(per_q):
-            st, a = CoverageState(pl), Arc(pl)
-            while not st.is_complete():
-                coverage_add(st, a, int(rng.choice(st.uncovered_ids())))
+            cov = Coverage(pl)
+            while not cov.is_complete():
+                cov.add(int(rng.choice(cov.uncovered_ids())))
+                pts = cov.arc_points
                 # scratch recomputation from the raw incidence relation
                 scratch = np.zeros(n, dtype=bool)
-                scratch[a.points] = True
-                per_line = inc[a.points, :].sum(axis=0)
+                scratch[pts] = True
+                per_line = inc[pts, :].sum(axis=0)
                 for l in np.flatnonzero(per_line >= 2):
                     scratch[inc[:, l]] = True
-                assert (st.covered == scratch).all()
-                assert st.covered_count == int(scratch.sum())
+                assert (cov.covered == scratch).all()
+                assert cov.covered_count == int(scratch.sum())
+                # uncovered count on every line through an arc point
+                lines = np.flatnonzero(per_line >= 1)
+                assert (cov.uncov_on_line[lines]
+                        == (inc[:, lines] & ~scratch[:, None]).sum(axis=0)).all()
+                # gains: scratch coverage of each one-point extension
+                cands = np.flatnonzero(~scratch)
+                if len(cands):
+                    ext_sec = (per_line[None, :] + inc[cands, :]) >= 2
+                    ext = (ext_sec.astype(np.int64) @ inc.T.astype(np.int64)) > 0
+                    ext[:, pts] = True
+                    ext[np.arange(len(cands)), cands] = True
+                    assert (cov.gains(cands)
+                            == ext.sum(axis=1) - cov.covered_count).all()
                 # addable exactly when uncovered (exhaustive)
                 for pid in range(n):
-                    addable = (pid not in a.points
-                               and int(inc[[*a.points, pid], :].sum(axis=0)
+                    addable = (pid not in pts
+                               and int(inc[[*pts, pid], :].sum(axis=0)
                                        .max()) <= 2)
-                    assert addable == (not st.covered[pid])
+                    assert addable == (not cov.covered[pid])
             checked += 1
     assert checked >= 1000
     print(f"criterion 6: {checked} sequences agree with scratch recomputation")

@@ -2,11 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arcforge.arc import (
-    Arc, CoverageState, CoveredPoint, NotAnArc, coverage_add,
-    new_coverage_gain, verify_arc, verify_complete,
-)
+from arcforge.arc import Arc, Coverage, CoveredPoint, NotAnArc, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.plane import build_plane
 
@@ -42,6 +40,13 @@ def oracle_covered(pl, pts):
     for l in secants:
         covered[inc[:, l]] = True
     return covered
+
+
+def plane_and_incidence(q):
+    """Plane plus its raw point x line incidence matrix (lines by triple)."""
+    pl = plane_of(q)
+    tri = pl.triples_of_ids(np.arange(pl.n_points))
+    return pl, pl.dot_triples(tri[:, None, :], tri[None, :, :]) == 0
 
 
 def frame_ids(pl):
@@ -164,50 +169,52 @@ def test_verify_complete_matches_oracle(q):
 
 
 # ---------------------------------------------------------------------------
-# incremental coverage
+# incremental coverage kernel
 # ---------------------------------------------------------------------------
 
 def test_single_point_coverage():
     pl = plane_of(5)
-    st, a = CoverageState(pl), Arc(pl)
-    coverage_add(st, a, 17)
-    assert st.covered_count == 1 and st.covered[17]
-    assert (st.line_arc_counts.max(), st.line_arc_counts.sum()) == (1, pl.q + 1)
+    cov = Coverage(pl)
+    cov.add(17)
+    assert cov.covered_count == 1 and cov.covered[17]
+    # its q+1 lines each keep q uncovered points; no other line is tracked
+    assert (cov.uncov_on_line.max(), (cov.uncov_on_line > 0).sum()) == (pl.q, pl.q + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])
 def test_second_point_covers_one_line(q):
     pl = plane_of(q)
-    st, a = CoverageState(pl), Arc(pl)
-    coverage_add(st, a, 0)
-    cand = st.uncovered_ids()
-    coverage_add(st, a, int(cand[0]))
-    assert st.covered_count == q + 1
-    assert int((st.line_arc_counts == 2).sum()) == 1
+    cov = Coverage(pl)
+    cov.add(0)
+    cov.add(int(cov.uncovered_ids()[0]))
+    assert cov.covered_count == q + 1
+    lines = np.unique(pl.lines_through_points_arr(np.asarray(cov.arc_points)))
+    assert len(lines) == 2 * q + 1
+    assert int((cov.uncov_on_line[lines] == 0).sum()) == 1
 
 
 def test_frame_coverage_matches_scratch_q2():
     pl = plane_of(2)
-    st, a = CoverageState(pl), Arc(pl)
+    cov = Coverage(pl)
     for pid in frame_ids(pl):
-        coverage_add(st, a, pid)
-    assert st.covered_count == 7
-    ok, unc = verify_complete(a)
+        cov.add(pid)
+    assert cov.covered_count == 7
+    ok, unc = verify_complete(Arc(pl, cov.arc_points))
     assert ok and unc == []
 
 
-def test_coverage_add_rejects_covered():
+def test_add_rejects_covered():
     pl = plane_of(3)
-    st, a = CoverageState(pl), Arc(pl)
-    coverage_add(st, a, 0)
+    cov = Coverage(pl)
+    cov.add(0)
     with pytest.raises(CoveredPoint):
-        coverage_add(st, a, 0)
-    second = int(st.uncovered_ids()[0])
-    coverage_add(st, a, second)
+        cov.add(0)
+    cov.add(int(cov.uncovered_ids()[0]))
     on_secant = [p for p in range(pl.n_points)
-                 if st.covered[p] and p not in a.points]
+                 if cov.covered[p] and p not in cov.arc_points]
     with pytest.raises(CoveredPoint):
-        coverage_add(st, a, on_secant[0])
+        cov.add(on_secant[0])
+    assert len(cov.arc_points) == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 16])
@@ -215,56 +222,57 @@ def test_incremental_matches_scratch_sequences(q):
     pl = plane_of(q)
     rng = np.random.default_rng(100 + q)
     for _ in range(12):
-        st, a = CoverageState(pl), Arc(pl)
+        cov = Coverage(pl)
         prev_count = 0
-        while not st.is_complete():
-            pid = int(rng.choice(st.uncovered_ids()))
-            coverage_add(st, a, pid)
-            assert st.covered_count >= prev_count  # monotone
-            prev_count = st.covered_count
+        while not cov.is_complete():
+            cov.add(int(rng.choice(cov.uncovered_ids())))
+            assert cov.covered_count >= prev_count  # monotone
+            prev_count = cov.covered_count
+        a = Arc(pl, cov.arc_points)
         assert verify_arc(a)
         ok, unc = verify_complete(a)
         assert ok and unc == []
         # covered bitset equals the scratch recomputation
-        assert (st.covered == oracle_covered(pl, a.points)).all()
-        assert st.covered_count == int(st.covered.sum())
+        assert (cov.covered == oracle_covered(pl, a.points)).all()
+        assert cov.covered_count == int(cov.covered.sum())
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_addable_iff_uncovered_exhaustive(q):
     pl = plane_of(q)
     rng = np.random.default_rng(200 + q)
-    st, a = CoverageState(pl), Arc(pl)
+    cov = Coverage(pl)
     for _ in range(3):
-        if st.is_complete():
+        if cov.is_complete():
             break
-        coverage_add(st, a, int(rng.choice(st.uncovered_ids())))
+        cov.add(int(rng.choice(cov.uncovered_ids())))
     for pid in range(pl.n_points):
-        addable = pid not in a.points and oracle_is_arc(pl, a.points + [pid])
-        assert addable == (not st.covered[pid])
+        addable = (pid not in cov.arc_points
+                   and oracle_is_arc(pl, cov.arc_points + [pid]))
+        assert addable == (not cov.covered[pid])
 
 
 # ---------------------------------------------------------------------------
-# new_coverage_gain
+# gains
 # ---------------------------------------------------------------------------
 
 def test_gain_first_point_is_one():
     pl = plane_of(7)
-    st, a = CoverageState(pl), Arc(pl)
-    assert new_coverage_gain(st, a, 31) == 1
+    assert Coverage(pl).gains(np.array([31])).tolist() == [1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8, 9])
 def test_gain_second_point_is_q(q):
     pl = plane_of(q)
-    st, a = CoverageState(pl), Arc(pl)
-    coverage_add(st, a, 2)
-    for pid in st.uncovered_ids()[:8]:
-        before = st.covered_count
-        assert new_coverage_gain(st, a, int(pid)) == q  # q+1 on the line, one known
+    cov = Coverage(pl)
+    cov.add(2)
+    cands = cov.uncovered_ids()[:8]
+    # q+1 on the line, one known
+    assert (cov.gains(cands) == q).all()
+    for pid in cands:
         # pinned by the scratch-recompute oracle
-        after = oracle_covered(pl, a.points + [int(pid)]).sum()
-        assert int(after) - before == q
+        after = oracle_covered(pl, cov.arc_points + [int(pid)]).sum()
+        assert int(after) - cov.covered_count == q
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -272,19 +280,72 @@ def test_gain_equals_scratch_delta(q):
     pl = plane_of(q)
     rng = np.random.default_rng(300 + q)
     for _ in range(10):
-        st, a = CoverageState(pl), Arc(pl)
-        while not st.is_complete():
-            unc = st.uncovered_ids()
-            for pid in rng.choice(unc, size=min(5, len(unc)), replace=False):
-                gain = new_coverage_gain(st, a, int(pid))
-                scratch = int(oracle_covered(pl, a.points + [int(pid)]).sum())
-                assert gain == scratch - st.covered_count
-            coverage_add(st, a, int(rng.choice(unc)))
+        cov = Coverage(pl)
+        while not cov.is_complete():
+            unc = cov.uncovered_ids()
+            cands = rng.choice(unc, size=min(5, len(unc)), replace=False)
+            for pid, gain in zip(cands, cov.gains(cands)):
+                scratch = int(oracle_covered(pl, cov.arc_points + [int(pid)]).sum())
+                assert gain == scratch - cov.covered_count
+            cov.add(int(rng.choice(unc)))
 
 
 def test_gain_rejects_covered():
     pl = plane_of(3)
-    st, a = CoverageState(pl), Arc(pl)
-    coverage_add(st, a, 4)
+    cov = Coverage(pl)
+    cov.add(4)
     with pytest.raises(CoveredPoint):
-        new_coverage_gain(st, a, 4)
+        cov.gains(np.array([4]))
+
+
+# ---------------------------------------------------------------------------
+# property: the kernel equals scratch recomputation after every add
+# ---------------------------------------------------------------------------
+
+# prime fields, characteristic-2 extensions and odd-characteristic
+# extensions; examples per q shrink as the scratch oracle grows as n^2
+PROPERTY_EXAMPLES = {2: 50, 3: 50, 4: 50, 5: 50, 7: 50, 8: 50, 9: 50,
+                     16: 30, 25: 15, 27: 15, 49: 8}
+
+
+def check_against_scratch(cov, inc, cands):
+    """Compare every piece of kernel state with a from-scratch recount."""
+    pts = cov.arc_points
+    per_line = inc[pts, :].sum(axis=0)
+    scratch = np.zeros(len(cov.covered), dtype=bool)
+    scratch[pts] = True
+    scratch |= inc[:, per_line >= 2].any(axis=1)
+    assert (cov.covered == scratch).all()
+    assert cov.covered_count == int(scratch.sum())
+    lines = np.flatnonzero(per_line >= 1)
+    assert (cov.uncov_on_line[lines]
+            == (inc[:, lines] & ~scratch[:, None]).sum(axis=0)).all()
+    for pid, gain in zip(cands, cov.gains(cands)):
+        ext = scratch | inc[:, (per_line + inc[pid]) >= 2].any(axis=1)
+        ext[pid] = True
+        assert gain == int(ext.sum()) - cov.covered_count
+
+
+@pytest.mark.parametrize("q", sorted(PROPERTY_EXAMPLES))
+def test_kernel_matches_scratch_at_every_add(q):
+    pl, inc = plane_and_incidence(q)
+
+    @settings(max_examples=PROPERTY_EXAMPLES[q], derandomize=True,
+              deadline=None, database=None)
+    @given(st.data())
+    def run(data):
+        cov = Coverage(pl)
+        while not cov.is_complete():
+            unc = cov.uncovered_ids()
+            pick = data.draw(st.integers(0, len(unc) - 1), label="pick")
+            sample = data.draw(st.lists(st.integers(0, len(unc) - 1),
+                                        max_size=4, unique=True), label="sample")
+            pid = int(unc[pick])
+            before = cov.covered_count
+            gain = int(cov.gains(np.array([pid]))[0])
+            cov.add(pid)
+            assert cov.covered_count - before == gain
+            cands = unc[sample]
+            check_against_scratch(cov, inc, cands[~cov.covered[cands]])
+
+    run()

@@ -251,8 +251,3 @@ def test_csv_emission(table):
 def test_record_for_unknown_q(table):
     with pytest.raises(OutOfRange):
         record_for(6, table)
-
-
-def test_kim_vu_form():
-    assert bounds.kim_vu_form(100, 1.0, 2.0) == pytest.approx(
-        2.0 * 10 * math.log(100))

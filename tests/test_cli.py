@@ -35,12 +35,6 @@ def test_search_non_prime_power(capsys):
     assert "prime power" in err
 
 
-def test_search_ph_mismatch(capsys):
-    code, _, err = run(capsys, "search", "--q", "9", "--p", "3", "--h", "3",
-                       "--trials", "1")
-    assert code == 2
-
-
 def test_search_bad_trials(capsys):
     code, _, err = run(capsys, "search", "--q", "9", "--trials", "0")
     assert code == 2 and "trials" in err

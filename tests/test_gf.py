@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arcforge import gf
-from arcforge.gf import Field, field_new, field_of_order
+from arcforge.gf import Field, field_of_order
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +57,28 @@ def poly_division_reduce(a, modulus, p):
 # ---------------------------------------------------------------------------
 
 def test_prime_field_construction():
-    f = field_new(7, 1)
+    f = Field(7, 1)
     assert f.q == 7 and f.p == 7 and f.h == 1
     assert list(f.modulus) == [0, 1]  # the formal polynomial x
 
 
 def test_gf4_modulus_forced():
-    f = field_new(2, 2)
+    f = Field(2, 2)
     assert list(f.modulus) == [1, 1, 1]  # x^2 + x + 1
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (2, 5)])
 def test_least_irreducible_matches_brute_force(p, h):
-    assert list(field_new(p, h).modulus) == brute_force_least_irreducible(p, h)
+    assert list(Field(p, h).modulus) == brute_force_least_irreducible(p, h)
 
 
 def test_construction_errors():
     with pytest.raises(gf.NotPrime):
-        field_new(6, 1)
+        Field(6, 1)
     with pytest.raises(gf.DegreeZero):
-        field_new(7, 0)
+        Field(7, 0)
     with pytest.raises(gf.OrderOverflow):
-        field_new(2, 40)
+        Field(2, 40)
     with pytest.raises(gf.NotPrime):
         field_of_order(12)
 
@@ -93,17 +93,17 @@ def test_rejects_reducible_modulus():
 # ---------------------------------------------------------------------------
 
 def test_scalar_examples():
-    f7 = field_new(7, 1)
+    f7 = Field(7, 1)
     assert f7.add(3, 5) == 1
     assert f7.mul(3, 5) == 1
     assert f7.inv(3) == 5
     assert f7.neg(3) == 4
 
-    f2 = field_new(2, 1)
+    f2 = Field(2, 1)
     assert f2.add(1, 1) == 0
     assert f2.inv(1) == 1
 
-    f4 = field_new(2, 2)
+    f4 = Field(2, 2)
     x = f4.element([0, 1])
     x1 = f4.element([1, 1])
     assert f4.add(x, x1) == 1
@@ -114,7 +114,7 @@ def test_scalar_examples():
 
 
 def test_gf9_inverses_exhaustive():
-    f = field_new(3, 2)
+    f = Field(3, 2)
     for a in range(1, 9):
         assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(gf.ZeroInverse):
@@ -122,14 +122,14 @@ def test_gf9_inverses_exhaustive():
 
 
 def test_neg_characteristic_two():
-    f = field_new(2, 3)
+    f = Field(2, 3)
     for a in f.elements():
         assert f.neg(a) == a
         assert f.add(a, f.neg(a)) == 0
 
 
 def test_gf9_additive_inverses():
-    f = field_new(3, 2)
+    f = Field(3, 2)
     for a in f.elements():
         assert f.add(a, f.neg(a)) == 0
 
@@ -145,7 +145,7 @@ AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
 
 @pytest.mark.parametrize("p,h", AXIOM_FIELDS)
 def test_field_axioms_exhaustive(p, h):
-    f = field_new(p, h)
+    f = Field(p, h)
     q = f.q
     a = np.arange(q)[:, None, None]
     b = np.arange(q)[None, :, None]
@@ -166,21 +166,21 @@ def test_field_axioms_exhaustive(p, h):
 
 @pytest.mark.parametrize("p,h", AXIOM_FIELDS)
 def test_multiplicative_group_order(p, h):
-    f = field_new(p, h)
+    f = Field(p, h)
     for a in range(1, f.q):
         assert f.pow(a, f.q - 1) == 1
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 2), (2, 4), (5, 2), (13, 1)])
 def test_coeff_roundtrip(p, h):
-    f = field_new(p, h)
+    f = Field(p, h)
     for a in f.elements():
         assert f.element(f.coeffs(a)) == a
 
 
 def test_scalar_and_vector_ops_agree():
     for p, h in [(3, 2), (2, 3), (5, 1), (2, 4)]:
-        f = field_new(p, h)
+        f = Field(p, h)
         q = f.q
         a = np.repeat(np.arange(q), q)
         b = np.tile(np.arange(q), q)
@@ -193,7 +193,7 @@ def test_scalar_and_vector_ops_agree():
 
 def test_modulus_irreducibility_reverified():
     for p, h in AXIOM_FIELDS:
-        f = field_new(p, h)
+        f = Field(p, h)
         if h == 1:
             continue
         assert gf.is_irreducible(list(f.modulus), p)

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from arcforge.arc import Arc, CoverageState, coverage_add, verify_arc, verify_complete
+from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.greedy import (
     SearchConfig, SearchReport, _plane_for, _run_batch, complete_extension,
@@ -79,10 +80,10 @@ def test_trial_matches_incremental_coverage():
     pl = plane_of(9)
     cfg = SearchConfig(q=9)
     arc = greedy_trial(pl, cfg, trial_rng(4, 2), 2)
-    st, replay = CoverageState(pl), Arc(pl)
+    cov = Coverage(pl)
     for pid in arc.points:
-        coverage_add(st, replay, pid)
-    assert st.is_complete()
+        cov.add(pid)
+    assert cov.is_complete()
 
 
 def test_batch_engine_equals_single_engine():
@@ -147,6 +148,33 @@ def test_search_jobs_equivalence():
     par = search(cfg, jobs=2)
     assert seq.best_size == par.best_size
     assert seq.summary() == par.summary()
+
+
+def test_search_jobs_early_stop_matches_serial():
+    # per-trial engine: the worker holding the first hit stops there while
+    # the other runs on, so the merge sees a gap above the hit
+    cfg = SearchConfig(q=13, trials=5_000, master_seed=1,
+                       candidate_policy="sample")
+    seq = search(cfg, jobs=1)
+    par = search(cfg, jobs=2)
+    assert seq.trials_run < 2 * 64  # the hit lands inside the first block
+    assert par.summary() == seq.summary()
+    assert par.best_points == seq.best_points
+
+
+def test_search_jobs_respects_time_budget():
+    # one worker's share of a block (64 per-trial runs at q = 49) takes
+    # seconds; the workers must stop at the deadline, not at the block end
+    budget = 0.5
+    cfg = SearchConfig(q=49, trials=10**6, master_seed=0,
+                       candidate_policy="sample", target_size=None,
+                       time_budget=budget)
+    t0 = time.monotonic()
+    rep = search(cfg, jobs=2)
+    elapsed = time.monotonic() - t0
+    assert rep.budget_exhausted
+    assert 1 <= rep.trials_run < 64
+    assert elapsed < budget + 2.0
 
 
 def test_search_time_budget():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from arcforge.gf import field_new, field_of_order
+from arcforge.gf import Field, field_of_order
 from arcforge.plane import (
     EqualPoints, MemoryBudgetExceeded, build_plane, incidence, line_through,
     points_on_line,
@@ -157,7 +157,7 @@ def test_point_id_accepts_unnormalized():
 
 def test_memory_cap():
     with pytest.raises(MemoryBudgetExceeded):
-        build_plane(field_new(9109, 1), point_cap=1000)
+        build_plane(Field(9109, 1), point_cap=1000)
 
 
 def test_deterministic_ordering():
