@@ -16,12 +16,17 @@ from .gf import factor_prime_power
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an unknown flag such as --h must fail, not
+    # silently resolve to --help or another option
     ap = argparse.ArgumentParser(
-        prog="arcforge",
+        prog="arcforge", allow_abbrev=False,
         description="search for and verify small complete arcs in PG(2,q)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="randomized greedy search for one q")
+    def add_parser(name, **kw):
+        return sub.add_parser(name, allow_abbrev=False, **kw)
+
+    s = add_parser("search", help="randomized greedy search for one q")
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--trials", type=int, default=10_000)
     s.add_argument("--seed", type=int, default=0)
@@ -34,17 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--time-budget", type=float,
                    help="wall-clock cap in seconds")
 
-    v = sub.add_parser("verify", help="independently verify a certificate")
+    v = add_parser("verify", help="independently verify a certificate")
     v.add_argument("file")
 
-    b = sub.add_parser("bounds", help="bounds and statistics for one q")
+    b = add_parser("bounds", help="bounds and statistics for one q")
     b.add_argument("--q", type=int, required=True)
 
-    t = sub.add_parser("table", help="print tabulated rows in a q range")
+    t = add_parser("table", help="print tabulated rows in a q range")
     t.add_argument("--range", type=int, nargs=2, metavar=("A", "B"),
                    required=True)
 
-    st = sub.add_parser("stats", help="normalized-size statistics and CSV")
+    st = add_parser("stats", help="normalized-size statistics and CSV")
     st.add_argument("--c", type=float, default=0.75)
     st.add_argument("--qmin", type=int, default=bounds.STATS_Q_MIN)
     st.add_argument("--csv", help="write per-q rows to this file")

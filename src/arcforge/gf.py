@@ -7,7 +7,13 @@ fields multiply through discrete-log tables built at construction time.
 
 All scalar operations take and return plain ints; the ``*_arr`` variants
 operate elementwise on numpy integer arrays and are what the plane and
-search layers use.
+search layers use.  In an extension field the vectorized product is one
+lookup, ``exp[log[a] + log[b]]``: the log of 0 is a sentinel large enough
+that any sum containing it lands in the zero tail of a doubled antilog
+table, so neither a modulo nor a zero mask is needed.  The vectorized
+inverse is a lookup in a q-entry table.  The scalar operations keep the
+reduced-log arithmetic and are the reference the vectorized ones are
+tested against.
 """
 
 from __future__ import annotations
@@ -166,7 +172,11 @@ def least_irreducible(p: int, h: int) -> list[int]:
 class Field:
     """GF(p^h) with elements as canonical integer indices in [0, q).
 
-    Immutable after construction; safe to share across workers.
+    Prime fields compute residues directly.  Extension fields build a
+    discrete-log table and its antilog at construction; the scalar ``mul``,
+    ``inv`` and ``pow`` reduce logs mod q - 1, while ``mul_arr`` and
+    ``inv_arr`` read O(q) tables derived from them (see the module
+    docstring).  Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, p: int, h: int, modulus: list[int] | None = None):
@@ -197,6 +207,7 @@ class Field:
         self._inv_table = None
         if h > 1:
             self._build_log_tables()
+            self._build_vector_tables()
 
     def __repr__(self):
         return f"Field(p={self.p}, h={self.h}, q={self.q})"
@@ -324,9 +335,7 @@ class Field:
     def mul_arr(self, a, b):
         if self.h == 1:
             return np.asarray(a, dtype=self._idx_dtype) * b % self.p
-        s = (self._log[a] + self._log[b]) % (self.q - 1)
-        out = self._alog[s]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp_z[self._log_z[a] + self._log_z[b]]
 
     def _fermat_inv_arr(self, a):
         out = np.ones_like(np.asarray(a, dtype=np.int64))
@@ -340,11 +349,9 @@ class Field:
         return out.astype(self._idx_dtype)
 
     def inv_arr(self, a):
-        if self.h > 1:
-            return self._alog[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        if self.p > 1 << 22:  # table would be large; 0 maps to 0 either way
-            return self._fermat_inv_arr(a)
-        if self._inv_table is None:
+        if self._inv_table is None:  # prime field; extensions build it eagerly
+            if self.p > 1 << 22:  # table would be large; 0 maps to 0 either way
+                return self._fermat_inv_arr(a)
             self._inv_table = self._build_prime_inv_table()
         return self._inv_table[a]
 
@@ -388,6 +395,25 @@ class Field:
                 self._alog = alog
                 return
         raise AssertionError("no generator found")  # unreachable for true fields
+
+    def _build_vector_tables(self) -> None:
+        """Zero-aware log/antilog and inverse tables for ``*_arr``.
+
+        ``_log_z[0]`` is 2q, so a sum of two logs is below 2(q - 1) exactly
+        when both operands are nonzero and at most 4q otherwise; ``_exp_z``
+        repeats the antilog twice and is 0 from 2(q - 1) through 4q.
+        """
+        q = self.q
+        dt = np.int32 if 4 * q < 2**31 else np.int64
+        log_z = self._log.astype(dt)
+        log_z[0] = 2 * q
+        exp_z = np.zeros(4 * q + 1, dtype=self._idx_dtype)
+        exp_z[:2 * (q - 1)] = np.tile(self._alog, 2)
+        self._log_z = log_z
+        self._exp_z = exp_z
+        inv = self._alog[(q - 1 - self._log) % (q - 1)]
+        inv[0] = 0  # never a valid lookup; callers mask zeros
+        self._inv_table = inv
 
     def _build_prime_inv_table(self):
         out = self._fermat_inv_arr(np.arange(self.p, dtype=np.int64))

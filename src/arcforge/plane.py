@@ -100,17 +100,6 @@ class PlaneIndex:
 
     # -- algebra -------------------------------------------------------------
 
-    def cross_triples(self, a, b):
-        """Cross product over GF(q); broadcasts on leading axes."""
-        f = self.field
-        a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-        b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-        return np.stack([
-            f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1)),
-            f.sub_arr(f.mul_arr(a2, b0), f.mul_arr(a0, b2)),
-            f.sub_arr(f.mul_arr(a0, b1), f.mul_arr(a1, b0)),
-        ], axis=-1)
-
     def dot_triples(self, a, b):
         f = self.field
         s = f.mul_arr(a[..., 0], b[..., 0])
@@ -121,10 +110,22 @@ class PlaneIndex:
         """Ids of the lines spanned by coordinate triples a and b (broadcast).
 
         For point inputs this is the joining line; since the construction is
-        self-dual the same routine yields the meet of two lines.
+        self-dual the same routine yields the meet of two lines.  The cross
+        product l = a x b is scaled by the inverse of its leading nonzero
+        coordinate and mapped straight to its id, without building the
+        normalized triple.  Equal (proportional) inputs give l = 0 and id 0.
         """
-        return self.ids_of_triples(
-            self.normalize_triples(self.cross_triples(coords_a, coords_b)))
+        f, q = self.field, self.q
+        a0, a1, a2 = coords_a[..., 0], coords_a[..., 1], coords_a[..., 2]
+        b0, b1, b2 = coords_b[..., 0], coords_b[..., 1], coords_b[..., 2]
+        l0 = f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1))
+        l1 = f.sub_arr(f.mul_arr(a2, b0), f.mul_arr(a0, b2))
+        l2 = f.sub_arr(f.mul_arr(a0, b1), f.mul_arr(a1, b0))
+        lead0, lead1 = l0 != 0, l1 != 0
+        scale = f.inv_arr(np.where(lead0, l0, np.where(lead1, l1, 1)))
+        y, z = f.mul_arr(l1, scale), f.mul_arr(l2, scale)
+        return np.where(lead0, 1 + q + y * q + z,
+                        np.where(lead1, 1 + z, 0)).astype(self._dt)
 
     def null_pencils(self, w):
         """All q+1 normalized triples orthogonal to each triple of w.

@@ -1,5 +1,6 @@
 import pytest
 
+from arcforge import greedy
 from arcforge.cli import main
 
 
@@ -160,3 +161,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["search"])  # missing required --q
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--h", "--p"])
+def test_search_rejects_flag_prefixes(capsys, monkeypatch, flag):
+    # --h must not resolve to --help (exit 0) nor --p to --policy
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(greedy, "search", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--q", "9", flag, "2", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

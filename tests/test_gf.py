@@ -179,16 +179,29 @@ def test_coeff_roundtrip(p, h):
 
 
 def test_scalar_and_vector_ops_agree():
-    for p, h in [(3, 2), (2, 3), (5, 1), (2, 4)]:
+    # the scalar ops reduce logs mod q - 1; the vector ops read the zero-aware
+    # tables, so this compares two independent paths.  Exhaustive up to
+    # q = 256, sampled rows at q = 1024.
+    for p, h in [(3, 2), (2, 3), (5, 1), (2, 4), (7, 2), (3, 5), (2, 8), (2, 10)]:
         f = Field(p, h)
         q = f.q
-        a = np.repeat(np.arange(q), q)
-        b = np.tile(np.arange(q), q)
-        add_v = f.add_arr(a, b)
-        mul_v = f.mul_arr(a, b)
-        for i in range(q * q):
-            assert add_v[i] == f.add(int(a[i]), int(b[i]))
-            assert mul_v[i] == f.mul(int(a[i]), int(b[i]))
+        rows = np.arange(q) if q <= 256 else np.r_[0, 1, 2, q - 1, 517]
+        a = np.repeat(rows, q)
+        b = np.tile(np.arange(q), len(rows))
+        add_v = f.add_arr(a, b).tolist()
+        mul_v = f.mul_arr(a, b).tolist()
+        for x, y, s, m in zip(a.tolist(), b.tolist(), add_v, mul_v):
+            assert s == f.add(x, y)
+            assert m == f.mul(x, y)
+        nz = np.arange(1, q)
+        assert f.inv_arr(nz).tolist() == [f.inv(x) for x in range(1, q)]
+        # zero on either side, and the (m,1) x (1,k) broadcast join_ids uses
+        zero = np.zeros(q, dtype=int)
+        assert (f.mul_arr(zero, np.arange(q)) == 0).all()
+        assert (f.mul_arr(np.arange(q), zero) == 0).all()
+        table = np.asarray(mul_v).reshape(len(rows), q)
+        assert (f.mul_arr(rows[:, None], np.arange(q)[None, :]) == table).all()
+        assert (f.mul_arr(np.arange(q)[:, None], rows[None, :]) == table.T).all()
 
 
 def test_modulus_irreducibility_reverified():

@@ -46,7 +46,7 @@ def test_fano_plane_examples():
     assert on == expect
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_unique_line_through_pairs_exhaustive(q):
     pl = plane_of(q)
     n = pl.n_points
@@ -64,6 +64,10 @@ def test_unique_line_through_pairs_exhaustive(q):
     d2 = pl.dot_triples(ltri, tri[None, :, :])
     mask = ~np.eye(n, dtype=bool)
     assert (d1[mask] == 0).all() and (d2[mask] == 0).all()
+    assert (np.diag(lids) == 0).all()
+    # the broadcast call agrees with the elementwise one
+    i, j = np.divmod(np.arange(n * n), n)
+    assert (pl.join_ids(tri[i], tri[j]) == lids.ravel()).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
