@@ -102,11 +102,12 @@ def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
 class Coverage:
     """Incremental secant coverage of a growing arc (single-owner).
 
-    Holds the covered-point mask and its popcount, the arc's points and
-    coordinate rows, and ``uncov_on_line[l]``: the number of uncovered
-    points on line l, kept exact for every line through an arc point
-    (entries for lines missing the arc are unused).  Never share one
-    instance between concurrent workers.
+    Holds the covered-point mask and its popcount, the arc's points, and
+    ``uncov_on_line[l]``: the number of uncovered points on line l, kept
+    exact for every line through an arc point (entries for lines missing the
+    arc are unused).  Joins and pencils come from the plane's id queries,
+    which read the dense incidence tables when they are built.  Never share
+    one instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
@@ -115,7 +116,7 @@ class Coverage:
         self.covered_count = 0
         self.uncov_on_line = np.zeros(plane.n_lines, dtype=np.int64)
         self.arc_points: list[int] = []
-        self.arc_coords = np.empty((0, 3), dtype=plane._dt)
+        self._arc_ids = np.empty(0, dtype=np.int64)
 
     def is_complete(self) -> bool:
         return self.covered_count == self.plane.n_points
@@ -128,29 +129,27 @@ class Coverage:
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
         pl = self.plane
-        p_coord = pl.triples_of_ids(np.asarray([pid], dtype=np.int64))
-        k = len(self.arc_points)
-        if k:
-            secants = pl.join_ids(p_coord, self.arc_coords)
-            sec_pts = pl.points_on_lines_arr(secants).ravel()
-            newly = np.unique(sec_pts[~self.covered[sec_pts]])
+        arc = self._arc_ids
+        self.covered[pid] = True
+        self.covered_count += 1
+        if len(arc):
+            # two new secants meet only at pid, so every other newly covered
+            # point lies on exactly one of them and appears once
+            sec_pts = pl.incident_ids(pl.join_point_ids(pid, arc)).ravel()
+            newly = sec_pts[~self.covered[sec_pts]]
             # every tangent through a freshly covered point loses it exactly
             # once: those lines are the joins to the k existing arc points
-            dec = pl.join_ids(pl.triples_of_ids(newly)[:, None, :],
-                              self.arc_coords[None, :, :])
+            dec = pl.join_point_ids(arc[:, None], newly[None, :])
             self.uncov_on_line -= np.bincount(dec.ravel(), minlength=pl.n_lines)
             self.covered[newly] = True
             self.covered_count += len(newly)
-        else:
-            self.covered[pid] = True
-            self.covered_count += 1
-        # fresh counts for the whole pencil at the new point (this also
-        # overwrites the stale entries of the new secants, which run through it)
-        pencil = pl.lines_through_points_arr(np.asarray([pid], dtype=np.int64))[0]
-        pen_pts = pl.points_on_lines_arr(pencil)
+        # fresh counts for the whole pencil at pid (this also overwrites the
+        # entries of the new secants, which run through it and lost pid)
+        pencil = pl.incident_ids(pid)
+        pen_pts = pl.incident_ids(pencil)
         self.uncov_on_line[pencil] = (pl.q + 1) - self.covered[pen_pts].sum(axis=1)
         self.arc_points.append(int(pid))
-        self.arc_coords = np.concatenate([self.arc_coords, p_coord.reshape(1, 3)])
+        self._arc_ids = np.append(arc, pid)
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.
@@ -169,7 +168,8 @@ class Coverage:
         step = max(1, _GAIN_CHUNK // k)
         for lo in range(0, len(cand_ids), step):
             chunk = cand_ids[lo:lo + step]
-            coords = pl.triples_of_ids(chunk)
-            lids = pl.join_ids(coords[:, None, :], self.arc_coords[None, :, :])
-            out[lo:lo + step] = self.uncov_on_line[lids].sum(axis=1)
+            # arc-major (k, m): the pair table is read one arc point's row
+            # at a time
+            lids = pl.join_point_ids(self._arc_ids[:, None], chunk[None, :])
+            out[lo:lo + step] = self.uncov_on_line[lids].sum(axis=0)
         return out - (k - 1)

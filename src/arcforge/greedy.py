@@ -15,18 +15,17 @@ to sweep both shallow and deep randomization.
 
 A trial's randomness is a pure function of (master_seed, trial_index): each
 step draws exactly one integer to pick from a canonically ordered candidate
-pool.  Two engines implement the same contract -- a single-trial engine that
-works at any q, and a lockstep batched engine over dense incidence tables
-that amortizes per-step overhead for small q -- so searches are reproducible
-under any batching or parallel schedule.
+pool, so searches are reproducible under any batching or parallel schedule.
 
-Scoring is exact but incremental.  The single-trial engine is the coverage
-kernel ``arc.Coverage`` plus an RNG and a candidate policy: the kernel
-tracks how many uncovered points remain on every line through the current
-arc, so a candidate's gain is one plus the sum over the lines joining it to
-each arc point (all tangents, pairwise meeting only at the candidate) of
-their uncovered counts minus one.  The batched engine keeps the same counts
-in dense per-trial arrays.
+Scoring is exact but incremental.  A trial is the coverage kernel
+``arc.Coverage`` plus an RNG and a candidate policy: the kernel tracks how
+many uncovered points remain on every line through the current arc, so a
+candidate's gain is one plus the sum over the lines joining it to each arc
+point (all tangents, pairwise meeting only at the candidate) of their
+uncovered counts minus one.  There is one engine at every q: exact searches
+on planes small enough for the dense incidence tables build them first, and
+the kernel then reads its joins and pencils from them instead of computing
+them, with the same results.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .arc import _GAIN_CHUNK, Arc, Coverage, NotAnArc, verify_arc, verify_complete
+from .arc import Arc, Coverage, NotAnArc, verify_arc, verify_complete
 from .gf import factor_prime_power, field_of_order
 from .plane import DEFAULT_POINT_CAP, PlaneIndex, build_plane
 
-_BATCH_TRIALS = 64      # lockstep trials per batch in the table engine
+_BLOCK_TRIALS = 64      # trials per worker between merges and checks
 
 
 class BudgetExhausted(RuntimeError):
@@ -149,7 +148,7 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# single-trial engine (any q, exact or sampled candidates)
+# one greedy trial (any q, exact or sampled candidates)
 # ---------------------------------------------------------------------------
 
 class _Trial(Coverage):
@@ -188,103 +187,6 @@ class _Trial(Coverage):
 
 
 # ---------------------------------------------------------------------------
-# lockstep batched engine (dense tables, exact candidates)
-# ---------------------------------------------------------------------------
-
-def _run_batch(plane: PlaneIndex, cfg: SearchConfig,
-               indices: list[int]) -> list[list[int]]:
-    """Run the trials with the given indices in lockstep.
-
-    Produces exactly the arcs the single-trial engine would: candidate
-    pools are ordered identically and each step consumes one draw from the
-    trial's own stream.
-    """
-    pair, lpts = plane.incidence_tables()
-    n, q = plane.n_points, plane.q
-    B = len(indices)
-    rngs = [trial_rng(cfg.master_seed, i) for i in indices]
-    seed_sizes = np.array([cfg.seed_size_for(i) for i in indices])
-    covered = np.zeros((B, n), dtype=bool)
-    uncov = np.zeros((B, n), dtype=np.int32)
-    counts = np.zeros(B, dtype=np.int64)
-    arc = np.zeros((B, 0), dtype=np.int64)
-    done = np.zeros(B, dtype=bool)
-    results: list[list[int] | None] = [None] * B
-    k = 0
-
-    while not done.all():
-        act = np.flatnonzero(~done)
-        m = len(act)
-        greedy_rows = np.flatnonzero(seed_sizes[act] <= k)
-        # gains for greedy rows; covered cells masked out with -1
-        g = np.zeros((m, n), dtype=np.int64)
-        if k and len(greedy_rows):
-            step = max(1, _GAIN_CHUNK // (n * k))
-            for lo in range(0, len(greedy_rows), step):
-                r = greedy_rows[lo:lo + step]
-                glob = act[r]
-                lids = pair[np.arange(n)[None, :, None], arc[glob][:, None, :]]
-                g[r] = uncov[glob[:, None, None], lids].sum(axis=2)
-        g[covered[act]] = -1
-
-        # one draw per trial from a canonically ordered pool: seeding rows
-        # and top_k == 1 pick the j-th element of a tie set in ascending id
-        # order; top_k > 1 greedy rows pick from the (gain desc, id asc) prefix
-        pid = np.empty(m, dtype=np.int64)
-        ties = g == g.max(axis=1)[:, None]
-        if cfg.top_k > 1 and len(greedy_rows):
-            seeding = np.ones(m, dtype=bool)
-            seeding[greedy_rows] = False
-            pool_sizes = np.where(seeding, ties.sum(axis=1), 0)
-            avail = (g > -1).sum(axis=1)
-            pool_sizes[greedy_rows] = np.minimum(
-                avail[greedy_rows], cfg.top_k)
-            picks = np.array([rngs[t].integers(pool_sizes[r])
-                              for r, t in enumerate(act)])
-            cum = ties.cumsum(axis=1)
-            pid = np.argmax(cum == (picks + 1)[:, None], axis=1)
-            order = np.argsort(-g[greedy_rows], axis=1, kind="stable")
-            pid[greedy_rows] = order[np.arange(len(greedy_rows)),
-                                     picks[greedy_rows]]
-        else:
-            pool_sizes = ties.sum(axis=1)
-            picks = np.array([rngs[t].integers(pool_sizes[r])
-                              for r, t in enumerate(act)])
-            cum = ties.cumsum(axis=1)
-            pid = np.argmax(cum == (picks + 1)[:, None], axis=1)
-
-        # apply the additions in lockstep
-        if k:
-            arc_act = arc[act]
-            sec = pair[pid[:, None], arc_act].astype(np.int64)     # (m, k)
-            sp = lpts[sec].astype(np.int64)                        # (m, k, q+1)
-            fresh = ~covered[act[:, None, None], sp]
-            counts[act] += fresh.sum(axis=(1, 2)) - (k - 1)
-            dec = pair[sp[:, :, :, None], arc_act[:, None, None, :]].astype(np.int64)
-            flat = (act * n)[:, None, None, None] + dec
-            sel = np.broadcast_to(fresh[:, :, :, None], dec.shape)
-            uncov.reshape(-1)[:] -= np.bincount(
-                flat[sel], minlength=B * n).astype(np.int32)
-            covered[act[:, None, None], sp] = True
-        else:
-            covered[act, pid] = True
-            counts[act] += 1
-        pen = lpts[pid].astype(np.int64)                           # (m, q+1)
-        pp = lpts[pen].astype(np.int64)                            # (m, q+1, q+1)
-        live = (q + 1) - covered[act[:, None, None], pp].sum(axis=2)
-        uncov[act[:, None], pen] = live.astype(np.int32)
-
-        arc = np.concatenate([arc, np.zeros((B, 1), dtype=np.int64)], axis=1)
-        arc[act, k] = pid
-        k += 1
-        finished = act[counts[act] == n]
-        for row in finished:
-            results[row] = [int(x) for x in arc[row, :k]]
-        done[finished] = True
-    return results  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -317,25 +219,19 @@ def _plane_for(cfg: SearchConfig) -> PlaneIndex:
     return build_plane(field_of_order(cfg.q), point_cap=cfg.point_cap)
 
 
-def _run_indices(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
-                 stop_at: int | None = None,
-                 deadline: float | None = None) -> list[tuple[int, list[int]]]:
-    """Trial results for explicit indices, choosing the faster engine.
+def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
+               stop_at: int | None = None,
+               deadline: float | None = None) -> list[tuple[int, list[int]]]:
+    """(size, points) of the trials with the given indices, in index order.
 
-    ``stop_at``/``deadline`` cut the loop early once a small-enough arc
-    lands or the clock runs out; later indices are simply not computed,
-    which the first-hit merge rule tolerates.
+    Exact searches build the dense tables when the plane allows them, which
+    changes their speed, not their arcs.  ``stop_at``/``deadline`` end the
+    loop after the trial that lands a small-enough arc or runs out the
+    clock; later indices are simply not computed, which the first-hit merge
+    rule tolerates.
     """
     if cfg.candidate_policy == "exact" and plane.has_tables():
-        out = []
-        for lo in range(0, len(indices), _BATCH_TRIALS):
-            block = indices[lo:lo + _BATCH_TRIALS]
-            out.extend(_run_batch(plane, cfg, block))
-            if stop_at is not None and any(len(p) <= stop_at for p in out):
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                break
-        return [(len(points), points) for points in out]
+        plane.incidence_tables()
     results = []
     for i in indices:
         arc = greedy_trial(plane, cfg, trial_rng(cfg.master_seed, i), i)
@@ -357,7 +253,7 @@ def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
     plane = _WORKER_PLANES.get(key)
     if plane is None:
         plane = _WORKER_PLANES[key] = _plane_for(cfg)
-    return _run_indices(plane, cfg, indices, stop_at=stop_at, deadline=deadline)
+    return _run_batch(plane, cfg, indices, stop_at=stop_at, deadline=deadline)
 
 
 def search(cfg: SearchConfig, jobs: int = 1,
@@ -372,7 +268,7 @@ def search(cfg: SearchConfig, jobs: int = 1,
     if plane is None:
         plane = _plane_for(cfg)
     target = cfg.resolved_target()
-    block = max(jobs, 1) * _BATCH_TRIALS
+    block = max(jobs, 1) * _BLOCK_TRIALS
     deadline = None if cfg.time_budget is None else t0 + cfg.time_budget
 
     results: list[tuple[int, list[int]]] = []
@@ -393,8 +289,8 @@ def search(cfg: SearchConfig, jobs: int = 1,
                 break
             idxs = list(range(done, min(done + block, cfg.trials)))
             if pool is None:
-                results.extend(_run_indices(plane, cfg, idxs,
-                                            stop_at=target, deadline=deadline))
+                results.extend(_run_batch(plane, cfg, idxs,
+                                          stop_at=target, deadline=deadline))
             else:
                 chunks = [c for c in (idxs[i::jobs] for i in range(jobs)) if c]
                 futs = [pool.submit(_worker_run, cfg, c, target, deadline)

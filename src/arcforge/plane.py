@@ -26,6 +26,8 @@ from .gf import Field
 
 # default accommodates every q tabulated in the reference data (q <= 9109)
 DEFAULT_POINT_CAP = 83_000_000
+# the dense pair table has n^2 entries of 2 bytes: up to q = 109
+TABLE_BYTE_CAP = 300_000_000
 
 
 class MemoryBudgetExceeded(MemoryError):
@@ -158,21 +160,42 @@ class PlaneIndex:
         """(m,) line ids -> (m, q+1) point ids, unsorted."""
         return self.ids_of_triples(self.null_pencils(self.triples_of_ids(line_ids)))
 
-    def lines_through_points_arr(self, point_ids):
-        """(m,) point ids -> (m, q+1) line ids, unsorted."""
-        return self.points_on_lines_arr(point_ids)  # self-dual
+    # -- id queries, read from the dense tables once they are built ----------
+
+    def join_point_ids(self, a, b):
+        """Ids of the lines joining point ids a and b (broadcast).
+
+        Equal points give 0.  Reads the pair table once incidence_tables()
+        has built it and computes the joins with join_ids otherwise.
+        """
+        if self._pair_line is not None:
+            return self._pair_line[a, b]
+        return self.join_ids(self.triples_of_ids(a), self.triples_of_ids(b))
+
+    def incident_ids(self, ids):
+        """(...,) ids -> (..., q+1) incident ids, unsorted.
+
+        The points on each line, or by self-duality the lines through each
+        point.  Reads the line table once incidence_tables() has built it and
+        computes the pencils with points_on_lines_arr otherwise.
+        """
+        if self._line_points is not None:
+            return self._line_points[ids]
+        return self.points_on_lines_arr(ids)
 
     # -- dense incidence tables (small q only) --------------------------------
 
-    def has_tables(self, max_bytes: int = 300_000_000) -> bool:
-        return 2 * self.n_points * self.n_points <= max_bytes
+    def has_tables(self) -> bool:
+        return 2 * self.n_points * self.n_points <= TABLE_BYTE_CAP
 
     def incidence_tables(self):
         """(pair_line, line_points) lookup tables, built once and cached.
 
-        pair_line[i, j] is the id of the line joining points i and j (the
-        diagonal is junk); line_points[l] lists the q+1 points of line l.
-        By self-duality line_points[x] also lists the lines through point x.
+        pair_line[i, j] is the id of the line joining points i and j, and 0
+        on the diagonal; line_points[l] lists the q+1 points of line l in
+        points_on_lines_arr order.  By self-duality line_points[x] also lists
+        the lines through point x.  pair_line is filled by writing each
+        line's id over all pairs of its points, so no join is computed.
         Only available when has_tables() holds.
         """
         if self._pair_line is None:
@@ -181,13 +204,14 @@ class PlaneIndex:
                     f"incidence tables for q={self.q} exceed the table budget")
             n = self.n_points
             dt = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-            tri = self.triples_of_ids(np.arange(n))
-            pair = np.empty((n, n), dtype=dt)
-            block = max(1, 4_000_000 // n)
-            for lo in range(0, n, block):
-                pair[lo:lo + block] = self.join_ids(
-                    tri[lo:lo + block, None, :], tri[None, :, :])
             lpts = self.points_on_lines_arr(np.arange(n)).astype(dt)
+            pair = np.empty((n, n), dtype=dt)
+            block = max(1, 4_000_000 // (self.q + 1) ** 2)
+            for lo in range(0, n, block):
+                pts = lpts[lo:lo + block]
+                ids = np.arange(lo, lo + len(pts), dtype=dt)
+                pair[pts[:, :, None], pts[:, None, :]] = ids[:, None, None]
+            np.fill_diagonal(pair, 0)
             self._pair_line = pair
             self._line_points = lpts
         return self._pair_line, self._line_points

@@ -168,6 +168,21 @@ def test_verify_complete_matches_oracle(q):
                 assert not oracle_is_arc(pl, pts + [extra])
 
 
+def test_verifier_ignores_incidence_tables():
+    # search() verifies its result on its own plane, which may hold the
+    # dense tables: the verifier computes from coordinates regardless
+    pl = plane_of(7)
+    pair, lpts = pl.incidence_tables()
+    rng = np.random.default_rng(7)
+    pair[...] = rng.integers(0, pl.n_points, pair.shape)
+    lpts[...] = rng.integers(0, pl.n_points, lpts.shape)
+    conic = conic_ids(pl)
+    assert verify_complete(Arc(pl, conic)) == (True, [])
+    expect = np.flatnonzero(~oracle_covered(pl, conic[:4])).tolist()
+    assert verify_complete(Arc(pl, conic[:4])) == (False, expect)
+    assert not verify_arc(Arc(pl, frame_ids(pl) + [pl.point_id([1, 1, 0])]))
+
+
 # ---------------------------------------------------------------------------
 # incremental coverage kernel
 # ---------------------------------------------------------------------------
@@ -188,7 +203,7 @@ def test_second_point_covers_one_line(q):
     cov.add(0)
     cov.add(int(cov.uncovered_ids()[0]))
     assert cov.covered_count == q + 1
-    lines = np.unique(pl.lines_through_points_arr(np.asarray(cov.arc_points)))
+    lines = np.unique(pl.incident_ids(np.asarray(cov.arc_points)))
     assert len(lines) == 2 * q + 1
     assert int((cov.uncov_on_line[lines] == 0).sum()) == 1
 
@@ -326,9 +341,14 @@ def check_against_scratch(cov, inc, cands):
         assert gain == int(ext.sum()) - cov.covered_count
 
 
-@pytest.mark.parametrize("q", sorted(PROPERTY_EXAMPLES))
-def test_kernel_matches_scratch_at_every_add(q):
+@pytest.mark.parametrize(
+    "q, tables",
+    [pytest.param(q, False, id=str(q)) for q in sorted(PROPERTY_EXAMPLES)]
+    + [pytest.param(q, True, id=f"{q}-tables") for q in sorted(PROPERTY_EXAMPLES)])
+def test_kernel_matches_scratch_at_every_add(q, tables):
     pl, inc = plane_and_incidence(q)
+    if tables:
+        pl.incidence_tables()
 
     @settings(max_examples=PROPERTY_EXAMPLES[q], derandomize=True,
               deadline=None, database=None)

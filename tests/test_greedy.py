@@ -7,7 +7,7 @@ import pytest
 from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.greedy import (
-    SearchConfig, SearchReport, _plane_for, _run_batch, complete_extension,
+    SearchConfig, SearchReport, _plane_for, complete_extension,
     default_seed_cycle, greedy_trial, search, trial_rng,
 )
 from arcforge.plane import build_plane
@@ -86,15 +86,16 @@ def test_trial_matches_incremental_coverage():
     assert cov.is_complete()
 
 
-def test_batch_engine_equals_single_engine():
+def test_trials_equal_with_and_without_tables():
     for q in (7, 11, 16):
         for kwargs in ({}, {"seed_arc_size": 6}, {"top_k": 2}):
             cfg = SearchConfig(q=q, **kwargs)
-            pl = _plane_for(cfg)
-            batch = _run_batch(pl, cfg, list(range(9)))
+            bare, tabled = _plane_for(cfg), _plane_for(cfg)
+            tabled.incidence_tables()
             for i in range(9):
-                single = greedy_trial(pl, cfg, trial_rng(0, i), i)
-                assert single.points == batch[i]
+                computed = greedy_trial(bare, cfg, trial_rng(0, i), i)
+                looked_up = greedy_trial(tabled, cfg, trial_rng(0, i), i)
+                assert computed.points == looked_up.points
 
 
 def test_sample_policy_trials_verify():
@@ -188,6 +189,16 @@ def test_search_time_budget():
                               target_size=None, time_budget=0.5))
     assert rep.budget_exhausted
     assert rep.trials_run >= 1
+
+
+def test_search_time_budget_with_tables():
+    # exact policy at q = 49 reads the dense tables; the deadline is
+    # checked after every trial, not after a block of them
+    t0 = time.monotonic()
+    rep = search(SearchConfig(q=49, trials=10**6, target_size=None,
+                              time_budget=0.5))
+    assert time.monotonic() - t0 < 1.5
+    assert rep.budget_exhausted
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,25 @@ def test_unique_line_through_pairs_exhaustive(q):
     assert (pl.join_ids(tri[i], tri[j]) == lids.ravel()).all()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 27])
+def test_incidence_tables_match_computed(q):
+    pl, bare = plane_of(q), plane_of(q)
+    pair, lpts = pl.incidence_tables()
+    n = pl.n_points
+    ids = np.arange(n)
+    tri = pl.triples_of_ids(ids)
+    assert pair.dtype == lpts.dtype == np.int16
+    assert pair.shape == (n, n) and lpts.shape == (n, q + 1)
+    lids = pl.join_ids(tri[:, None, :], tri[None, :, :])
+    assert (pair == lids).all()
+    assert (np.diag(pair) == 0).all()
+    assert (lpts == pl.points_on_lines_arr(ids)).all()
+    # the id queries answer the same with and without the tables
+    for plane in (pl, bare):
+        assert (plane.join_point_ids(ids[:, None], ids[None, :]) == lids).all()
+        assert (plane.incident_ids(ids) == lpts).all()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_line_through_matches_scalar_scan(q):
     pl = plane_of(q)
