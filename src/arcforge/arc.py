@@ -6,21 +6,26 @@ line through two arc points); the arc is complete exactly when every point
 is covered, since an uncovered point could always be adjoined.
 
 ``verify_arc`` / ``verify_complete`` recompute everything from scratch and
-serve as the independent verifiers.  ``Coverage`` is the one incremental
-kernel: it adjoins uncovered points one at a time, keeps the covered mask
-and the uncovered count of every line through the arc, and from those
-scores candidates by their exact coverage gain.  The greedy search, arc
-extension and the oracle tests all run it.
+serve as the independent verifiers; they never read the plane's tables.
+``Coverage`` is the one incremental kernel: it adjoins uncovered points one
+at a time, keeps the covered mask and the uncovered count of every line
+through the arc, and from those scores candidates by their exact coverage
+gain.  It indexes each arc point's pencil once, when the point is added,
+so the line joining an arc point to a candidate is a lookup, not a field
+computation.  The greedy search, arc extension and the oracle tests all
+run it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .plane import PlaneIndex
+from .plane import TABLE_BYTE_CAP, PlaneIndex
 
 _LINE_CHUNK = 2048  # bounds the (lines x q+1) marking buffers
-_GAIN_CHUNK = 1 << 22  # elements per (candidates x arc) scoring block
+# elements per (candidates x arc) scoring block: each int64 gather
+# temporary is 2 MB (2^22 elements, 32 MB, scored q = 256 arcs slower)
+_GAIN_CHUNK = 1 << 18
 
 
 class NotAnArc(ValueError):
@@ -105,9 +110,13 @@ class Coverage:
     Holds the covered-point mask and its popcount, the arc's points, and
     ``uncov_on_line[l]``: the number of uncovered points on line l, kept
     exact for every line through an arc point (entries for lines missing the
-    arc are unused).  Joins and pencils come from the plane's id queries,
-    which read the dense incidence tables when they are built.  Never share
-    one instance between concurrent workers.
+    arc are unused).  For each arc point a it keeps a's pencil (the q+1
+    lines through a, in incident_ids order) and a slot row: for every point
+    x, the position of line ax within that pencil.  The line joining an arc
+    point to any point is then two lookups.  The rows are kept only while
+    q+2 of them (the most an arc can have) fit TABLE_BYTE_CAP; larger
+    planes compute the joins from coordinates instead.  Never share one
+    instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
@@ -117,6 +126,13 @@ class Coverage:
         self.uncov_on_line = np.zeros(plane.n_lines, dtype=np.int64)
         self.arc_points: list[int] = []
         self._arc_ids = np.empty(0, dtype=np.int64)
+        q, n = plane.q, plane.n_points
+        self._rows = None
+        if (q + 2) * n * np.dtype(plane._slot_dt).itemsize <= TABLE_BYTE_CAP:
+            self._rows = np.empty((q + 2, n), dtype=plane._slot_dt)
+            # pencil of arc point i at [i*(q+1), (i+1)*(q+1))
+            self._pencils = np.empty((q + 2) * (q + 1), dtype=np.int64)
+            self._base = np.arange(0, (q + 2) * (q + 1), q + 1)[:, None]
 
     def is_complete(self) -> bool:
         return self.covered_count == self.plane.n_points
@@ -124,22 +140,32 @@ class Coverage:
     def uncovered_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.covered)
 
+    def _joins(self, ids: np.ndarray) -> np.ndarray:
+        """(k, m) ids of the lines joining each arc point to each of ids.
+
+        The ids must not be arc points.
+        """
+        k = len(self._arc_ids)
+        if self._rows is None:
+            return self.plane.join_point_ids(self._arc_ids[:, None], ids[None, :])
+        return self._pencils[self._rows[:k].take(ids, axis=1) + self._base[:k]]
+
     def add(self, pid: int) -> None:
         """Adjoin an uncovered point: cover its new secants, update counts."""
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
         pl = self.plane
-        arc = self._arc_ids
+        k = len(self._arc_ids)
         self.covered[pid] = True
         self.covered_count += 1
-        if len(arc):
+        if k:
             # two new secants meet only at pid, so every other newly covered
             # point lies on exactly one of them and appears once
-            sec_pts = pl.incident_ids(pl.join_point_ids(pid, arc)).ravel()
+            sec_pts = pl.incident_ids(self._joins(np.array([pid]))[:, 0]).ravel()
             newly = sec_pts[~self.covered[sec_pts]]
             # every tangent through a freshly covered point loses it exactly
             # once: those lines are the joins to the k existing arc points
-            dec = pl.join_point_ids(arc[:, None], newly[None, :])
+            dec = self._joins(newly)
             self.uncov_on_line -= np.bincount(dec.ravel(), minlength=pl.n_lines)
             self.covered[newly] = True
             self.covered_count += len(newly)
@@ -148,8 +174,11 @@ class Coverage:
         pencil = pl.incident_ids(pid)
         pen_pts = pl.incident_ids(pencil)
         self.uncov_on_line[pencil] = (pl.q + 1) - self.covered[pen_pts].sum(axis=1)
+        if self._rows is not None:
+            pl.slot_row(pid, pen_pts, self._rows[k])
+            self._pencils[k * (pl.q + 1):(k + 1) * (pl.q + 1)] = pencil
         self.arc_points.append(int(pid))
-        self._arc_ids = np.append(arc, pid)
+        self._arc_ids = np.append(self._arc_ids, pid)
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.
@@ -163,13 +192,9 @@ class Coverage:
         k = len(self.arc_points)
         if k == 0:
             return np.ones(len(cand_ids), dtype=np.int64)
-        pl = self.plane
         out = np.empty(len(cand_ids), dtype=np.int64)
         step = max(1, _GAIN_CHUNK // k)
         for lo in range(0, len(cand_ids), step):
             chunk = cand_ids[lo:lo + step]
-            # arc-major (k, m): the pair table is read one arc point's row
-            # at a time
-            lids = pl.join_point_ids(self._arc_ids[:, None], chunk[None, :])
-            out[lo:lo + step] = self.uncov_on_line[lids].sum(axis=0)
+            out[lo:lo + step] = self.uncov_on_line[self._joins(chunk)].sum(axis=0)
         return out - (k - 1)

@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--policy", choices=["exact", "sample"], default="exact")
     s.add_argument("--sample-size", type=int, default=4096)
     s.add_argument("--time-budget", type=float,
-                   help="wall-clock cap in seconds")
+                   help="wall-clock cap in seconds; it starts after the "
+                        "plane and its tables are built, but with --jobs N "
+                        "each worker builds its own copy once inside it")
 
     v = add_parser("verify", help="independently verify a certificate")
     v.add_argument("file")

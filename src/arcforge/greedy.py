@@ -22,10 +22,12 @@ Scoring is exact but incremental.  A trial is the coverage kernel
 many uncovered points remain on every line through the current arc, so a
 candidate's gain is one plus the sum over the lines joining it to each arc
 point (all tangents, pairwise meeting only at the candidate) of their
-uncovered counts minus one.  There is one engine at every q: exact searches
-on planes small enough for the dense incidence tables build them first, and
-the kernel then reads its joins and pencils from them instead of computing
-them, with the same results.
+uncovered counts minus one.  The kernel finds those lines in a slot row it
+keeps for each arc point, so scoring is lookups, not field arithmetic.
+There is one engine at every q: exact searches on planes small enough for
+the dense incidence tables build them before the clock starts, and the
+kernel then copies its slot rows from them instead of scattering them,
+with the same results.
 """
 
 from __future__ import annotations
@@ -219,19 +221,24 @@ def _plane_for(cfg: SearchConfig) -> PlaneIndex:
     return build_plane(field_of_order(cfg.q), point_cap=cfg.point_cap)
 
 
+def _prepare_plane(plane: PlaneIndex, cfg: SearchConfig) -> None:
+    """Build the dense tables when an exact search on this plane uses them.
+
+    They change a search's speed, not its arcs.
+    """
+    if cfg.candidate_policy == "exact" and plane.has_tables():
+        plane.incidence_tables()
+
+
 def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
                stop_at: int | None = None,
                deadline: float | None = None) -> list[tuple[int, list[int]]]:
     """(size, points) of the trials with the given indices, in index order.
 
-    Exact searches build the dense tables when the plane allows them, which
-    changes their speed, not their arcs.  ``stop_at``/``deadline`` end the
-    loop after the trial that lands a small-enough arc or runs out the
-    clock; later indices are simply not computed, which the first-hit merge
-    rule tolerates.
+    ``stop_at``/``deadline`` end the loop after the trial that lands a
+    small-enough arc or runs out the clock; later indices are simply not
+    computed, which the first-hit merge rule tolerates.
     """
-    if cfg.candidate_policy == "exact" and plane.has_tables():
-        plane.incidence_tables()
     results = []
     for i in indices:
         arc = greedy_trial(plane, cfg, trial_rng(cfg.master_seed, i), i)
@@ -248,11 +255,12 @@ _WORKER_PLANES: dict[tuple[int, int], PlaneIndex] = {}
 
 def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
                 deadline: float | None) -> list[tuple[int, list[int]]]:
-    """Process-pool entry point; planes are rebuilt once per worker."""
+    """Process-pool entry point; planes and tables are built once per worker."""
     key = (cfg.q, cfg.point_cap)
     plane = _WORKER_PLANES.get(key)
     if plane is None:
         plane = _WORKER_PLANES[key] = _plane_for(cfg)
+    _prepare_plane(plane, cfg)
     return _run_batch(plane, cfg, indices, stop_at=stop_at, deadline=deadline)
 
 
@@ -263,10 +271,15 @@ def search(cfg: SearchConfig, jobs: int = 1,
     Deterministic for fixed (cfg, master_seed): per-trial streams derive
     from (master_seed, trial_index) and the early-stop / merge rule depends
     only on trial indices, so any ``jobs`` level yields the same result.
+    ``time_budget`` and ``elapsed`` count from after the plane and, when
+    this process runs the trials, its tables are built; with ``jobs > 1``
+    each worker builds its own plane and tables once, inside the budget.
     """
-    t0 = time.monotonic()
     if plane is None:
         plane = _plane_for(cfg)
+    if jobs <= 1:
+        _prepare_plane(plane, cfg)
+    t0 = time.monotonic()
     target = cfg.resolved_target()
     block = max(jobs, 1) * _BLOCK_TRIALS
     deadline = None if cfg.time_budget is None else t0 + cfg.time_budget

@@ -26,7 +26,7 @@ from .gf import Field
 
 # default accommodates every q tabulated in the reference data (q <= 9109)
 DEFAULT_POINT_CAP = 83_000_000
-# the dense pair table has n^2 entries of 2 bytes: up to q = 109
+# bounds the dense incidence tables and the coverage kernel's slot rows
 TABLE_BYTE_CAP = 300_000_000
 
 
@@ -64,7 +64,9 @@ class PlaneIndex:
         self.n_points = n
         self.n_lines = n
         self._dt = field._idx_dtype
-        self._pair_line = None
+        # smallest dtype that holds the q+1 slots 0..q of a pencil
+        self._slot_dt = np.uint8 if q < 256 else np.uint16
+        self._slot = None
         self._line_points = None
 
     def __repr__(self):
@@ -165,11 +167,10 @@ class PlaneIndex:
     def join_point_ids(self, a, b):
         """Ids of the lines joining point ids a and b (broadcast).
 
-        Equal points give 0.  Reads the pair table once incidence_tables()
-        has built it and computes the joins with join_ids otherwise.
+        Equal points give 0.  Always computed with join_ids: the coverage
+        kernel looks joins up in its own per-point slot rows and asks for
+        computed ones only on planes too large to keep those rows.
         """
-        if self._pair_line is not None:
-            return self._pair_line[a, b]
         return self.join_ids(self.triples_of_ids(a), self.triples_of_ids(b))
 
     def incident_ids(self, ids):
@@ -183,38 +184,61 @@ class PlaneIndex:
             return self._line_points[ids]
         return self.points_on_lines_arr(ids)
 
+    def slot_row(self, pid, pen_pts, out):
+        """Write into out[x] the slot (0..q) of the line through pid and x.
+
+        The slot of a line is its position in incident_ids(pid), and
+        pen_pts = incident_ids(incident_ids(pid)) lists the points of each
+        of those lines.  Copies the slot table's row once incidence_tables()
+        has built it, and scatters the slot numbers over pen_pts otherwise.
+        out[pid] is 0.
+        """
+        if self._slot is not None:
+            out[:] = self._slot[pid]
+        else:
+            out[pen_pts] = np.arange(self.q + 1, dtype=out.dtype)[:, None]
+            out[pid] = 0
+
     # -- dense incidence tables (small q only) --------------------------------
 
     def has_tables(self) -> bool:
-        return 2 * self.n_points * self.n_points <= TABLE_BYTE_CAP
+        """True when the dense tables fit in half of TABLE_BYTE_CAP.
+
+        The slot table takes n^2 bytes and the line table n(q+1) ids of two
+        bytes; the other half of the cap is left to the search's own arrays.
+        The rule admits the tables for q <= 109.
+        """
+        n = self.n_points
+        return n * n + 2 * n * (self.q + 1) <= TABLE_BYTE_CAP // 2
 
     def incidence_tables(self):
-        """(pair_line, line_points) lookup tables, built once and cached.
+        """(slot, line_points) lookup tables, built once and cached.
 
-        pair_line[i, j] is the id of the line joining points i and j, and 0
-        on the diagonal; line_points[l] lists the q+1 points of line l in
-        points_on_lines_arr order.  By self-duality line_points[x] also lists
-        the lines through point x.  pair_line is filled by writing each
-        line's id over all pairs of its points, so no join is computed.
-        Only available when has_tables() holds.
+        line_points[l] lists the q+1 points of line l in points_on_lines_arr
+        order; by self-duality line_points[x] also lists the lines through
+        point x.  slot[a, x] (uint8) is the position, within line_points[a],
+        of the line joining points a and x, and 0 on the diagonal.  slot is
+        filled by writing each slot number over the points of its line, so
+        no join is computed.  Only available when has_tables() holds.
         """
-        if self._pair_line is None:
+        if self._slot is None:
             if not self.has_tables():
                 raise MemoryBudgetExceeded(
                     f"incidence tables for q={self.q} exceed the table budget")
-            n = self.n_points
+            n, q = self.n_points, self.q
             dt = np.int16 if n <= np.iinfo(np.int16).max else np.int32
             lpts = self.points_on_lines_arr(np.arange(n)).astype(dt)
-            pair = np.empty((n, n), dtype=dt)
-            block = max(1, 4_000_000 // (self.q + 1) ** 2)
+            slot = np.empty((n, n), dtype=np.uint8)
+            slots = np.arange(q + 1, dtype=slot.dtype)[None, :, None]
+            block = max(1, 1_000_000 // (q + 1) ** 2)
             for lo in range(0, n, block):
-                pts = lpts[lo:lo + block]
-                ids = np.arange(lo, lo + len(pts), dtype=dt)
-                pair[pts[:, :, None], pts[:, None, :]] = ids[:, None, None]
-            np.fill_diagonal(pair, 0)
-            self._pair_line = pair
+                pts = lpts[lpts[lo:lo + block]]  # (B, q+1 lines, q+1 points)
+                rows = np.arange(lo, lo + len(pts))[:, None, None]
+                slot[rows, pts] = slots
+            np.fill_diagonal(slot, 0)
+            self._slot = slot
             self._line_points = lpts
-        return self._pair_line, self._line_points
+        return self._slot, self._line_points
 
     # -- scalar views ---------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcforge import arc as arc_module
 from arcforge.arc import Arc, Coverage, CoveredPoint, NotAnArc, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.plane import build_plane
@@ -172,10 +173,9 @@ def test_verifier_ignores_incidence_tables():
     # search() verifies its result on its own plane, which may hold the
     # dense tables: the verifier computes from coordinates regardless
     pl = plane_of(7)
-    pair, lpts = pl.incidence_tables()
     rng = np.random.default_rng(7)
-    pair[...] = rng.integers(0, pl.n_points, pair.shape)
-    lpts[...] = rng.integers(0, pl.n_points, lpts.shape)
+    for table in pl.incidence_tables():
+        table[...] = rng.permutation(table.ravel()).reshape(table.shape)
     conic = conic_ids(pl)
     assert verify_complete(Arc(pl, conic)) == (True, [])
     expect = np.flatnonzero(~oracle_covered(pl, conic[:4])).tolist()
@@ -341,14 +341,23 @@ def check_against_scratch(cov, inc, cands):
         assert gain == int(ext.sum()) - cov.covered_count
 
 
+# every source of joins: slot rows scattered at each add, slot rows copied
+# from the dense tables, and (with no room for rows) joins computed from
+# coordinates
 @pytest.mark.parametrize(
-    "q, tables",
-    [pytest.param(q, False, id=str(q)) for q in sorted(PROPERTY_EXAMPLES)]
-    + [pytest.param(q, True, id=f"{q}-tables") for q in sorted(PROPERTY_EXAMPLES)])
-def test_kernel_matches_scratch_at_every_add(q, tables):
+    "q, source",
+    [pytest.param(q, "rows", id=str(q)) for q in sorted(PROPERTY_EXAMPLES)]
+    + [pytest.param(q, "tables", id=f"{q}-tables")
+       for q in sorted(PROPERTY_EXAMPLES)]
+    + [pytest.param(q, "computed", id=f"{q}-computed")
+       for q in sorted(PROPERTY_EXAMPLES)])
+def test_kernel_matches_scratch_at_every_add(q, source, monkeypatch):
     pl, inc = plane_and_incidence(q)
-    if tables:
+    if source == "tables":
         pl.incidence_tables()
+    if source == "computed":
+        monkeypatch.setattr(arc_module, "TABLE_BYTE_CAP", 0)
+    assert (Coverage(pl)._rows is None) == (source == "computed")
 
     @settings(max_examples=PROPERTY_EXAMPLES[q], derandomize=True,
               deadline=None, database=None)
@@ -369,3 +378,46 @@ def test_kernel_matches_scratch_at_every_add(q, tables):
             check_against_scratch(cov, inc, cands[~cov.covered[cands]])
 
     run()
+
+
+def scratch_coverage(pl, pts):
+    """Covered mask of an arc, from coordinates alone (no kernel state)."""
+    tri = pl.triples_of_ids(np.asarray(pts))
+    i, j = np.triu_indices(len(pts), 1)
+    covered = np.zeros(pl.n_points, dtype=bool)
+    covered[pts] = True
+    covered[pl.points_on_lines_arr(pl.join_ids(tri[i], tri[j])).ravel()] = True
+    return covered
+
+
+@pytest.mark.parametrize("q, dtype", [(251, np.uint8), (256, np.uint16)])
+def test_kernel_matches_scratch_where_slots_widen(q, dtype):
+    # q + 1 = 252 slots still fit a byte; q + 1 = 257 need two
+    pl = plane_of(q)
+    rng = np.random.default_rng(q)
+    cov = Coverage(pl)
+    assert cov._rows.dtype == dtype
+    for _ in range(12):
+        cov.add(int(rng.choice(cov.uncovered_ids())))
+        pts = cov.arc_points
+        covered = scratch_coverage(pl, pts)
+        assert (cov.covered == covered).all()
+        assert cov.covered_count == int(covered.sum())
+        # every line through the arc: its uncovered points, counted
+        lines = np.unique(pl.points_on_lines_arr(np.asarray(pts)))
+        on = pl.points_on_lines_arr(lines)
+        assert (cov.uncov_on_line[lines] == (~covered[on]).sum(axis=1)).all()
+        # gains: the distinct uncovered points on the new secants
+        unc = np.flatnonzero(~covered)
+        cands = rng.choice(unc, size=min(2000, len(unc)), replace=False)
+        tri = pl.triples_of_ids(np.asarray(pts))
+        for lo in range(0, len(cands), 250):
+            chunk = cands[lo:lo + 250]
+            lids = pl.join_ids(pl.triples_of_ids(chunk)[:, None, :],
+                               tri[None, :, :])
+            new = np.sort(pl.points_on_lines_arr(lids.ravel())
+                          .reshape(len(chunk), -1), axis=1)
+            first = np.ones(new.shape, dtype=bool)
+            first[:, 1:] = new[:, 1:] != new[:, :-1]
+            expect = (first & ~covered[new]).sum(axis=1)
+            assert (cov.gains(chunk) == expect).all()

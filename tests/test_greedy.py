@@ -164,10 +164,11 @@ def test_search_jobs_early_stop_matches_serial():
 
 
 def test_search_jobs_respects_time_budget():
-    # one worker's share of a block (64 per-trial runs at q = 49) takes
-    # seconds; the workers must stop at the deadline, not at the block end
+    # one worker's share of a block (64 sampled trials at q = 81, about
+    # 30 ms each) takes seconds; the workers must stop at the deadline, not
+    # at the block end
     budget = 0.5
-    cfg = SearchConfig(q=49, trials=10**6, master_seed=0,
+    cfg = SearchConfig(q=81, trials=10**6, master_seed=0,
                        candidate_policy="sample", target_size=None,
                        time_budget=budget)
     t0 = time.monotonic()
@@ -198,6 +199,15 @@ def test_search_time_budget_with_tables():
     rep = search(SearchConfig(q=49, trials=10**6, target_size=None,
                               time_budget=0.5))
     assert time.monotonic() - t0 < 1.5
+    assert rep.budget_exhausted
+
+
+def test_search_time_budget_excludes_table_build():
+    # the q = 101 tables take longer to build than the budget; they are
+    # built before the clock starts, so trials still run inside it
+    rep = search(SearchConfig(q=101, trials=10**6, target_size=None,
+                              time_budget=0.5), plane=plane_of(101))
+    assert rep.elapsed < 1.0
     assert rep.budget_exhausted
 
 

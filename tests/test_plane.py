@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from arcforge.gf import Field, field_of_order
+from arcforge.gf import Field, factor_prime_power, field_of_order
 from arcforge.plane import (
     EqualPoints, MemoryBudgetExceeded, build_plane, incidence, line_through,
     points_on_line,
@@ -73,20 +73,38 @@ def test_unique_line_through_pairs_exhaustive(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 27])
 def test_incidence_tables_match_computed(q):
     pl, bare = plane_of(q), plane_of(q)
-    pair, lpts = pl.incidence_tables()
+    slot, lpts = pl.incidence_tables()
     n = pl.n_points
     ids = np.arange(n)
-    tri = pl.triples_of_ids(ids)
-    assert pair.dtype == lpts.dtype == np.int16
-    assert pair.shape == (n, n) and lpts.shape == (n, q + 1)
-    lids = pl.join_ids(tri[:, None, :], tri[None, :, :])
-    assert (pair == lids).all()
-    assert (np.diag(pair) == 0).all()
+    assert slot.dtype == np.uint8 and lpts.dtype == np.int16
+    assert slot.shape == (n, n) and lpts.shape == (n, q + 1)
     assert (lpts == pl.points_on_lines_arr(ids)).all()
-    # the id queries answer the same with and without the tables
-    for plane in (pl, bare):
-        assert (plane.join_point_ids(ids[:, None], ids[None, :]) == lids).all()
-        assert (plane.incident_ids(ids) == lpts).all()
+    assert (pl.incident_ids(ids) == bare.incident_ids(ids)).all()
+    tri = pl.triples_of_ids(ids)
+    for a in range(n):
+        # the scatter from points_on_lines_arr, exhaustively
+        pencil = pl.points_on_lines_arr(np.array([a]))[0]
+        pen_pts = pl.points_on_lines_arr(pencil)
+        expect = np.zeros(n, dtype=np.uint8)
+        expect[pen_pts] = np.arange(q + 1)[:, None]
+        expect[a] = 0
+        assert (slot[a] == expect).all()
+        # slot_row copies the table row or scatters the same row itself
+        for plane in (pl, bare):
+            row = np.full(n, 255, dtype=np.uint8)
+            plane.slot_row(a, pen_pts, row)
+            assert (row == expect).all()
+        # the line in slot[a, x] holds both a and x: raw incidence only
+        lines = pl.triples_of_ids(pencil[slot[a]])
+        assert (pl.dot_triples(lines, tri) == 0).all()
+        assert (pl.dot_triples(lines, tri[a]) == 0).all()
+
+
+def test_tables_kept_for_the_same_planes():
+    # the slot table is n^2 bytes; the rule still admits exactly q <= 109
+    qs = [q for q in range(2, 140) if factor_prime_power(q) is not None]
+    kept = [q for q in qs if build_plane(field_of_order(q)).has_tables()]
+    assert kept == [q for q in qs if q <= 109]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
