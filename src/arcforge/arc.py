@@ -125,7 +125,6 @@ class Coverage:
         self.covered_count = 0
         self.uncov_on_line = np.zeros(plane.n_lines, dtype=np.int64)
         self.arc_points: list[int] = []
-        self._arc_ids = np.empty(0, dtype=np.int64)
         q, n = plane.q, plane.n_points
         self._rows = None
         if (q + 2) * n * np.dtype(plane._slot_dt).itemsize <= TABLE_BYTE_CAP:
@@ -143,11 +142,14 @@ class Coverage:
     def _joins(self, ids: np.ndarray) -> np.ndarray:
         """(k, m) ids of the lines joining each arc point to each of ids.
 
-        The ids must not be arc points.
+        The ids must not be arc points.  Planes too large to keep slot rows
+        compute the joins from coordinates.
         """
-        k = len(self._arc_ids)
+        k = len(self.arc_points)
         if self._rows is None:
-            return self.plane.join_point_ids(self._arc_ids[:, None], ids[None, :])
+            pl = self.plane
+            arc = pl.triples_of_ids(np.asarray(self.arc_points))
+            return pl.join_ids(arc[:, None], pl.triples_of_ids(ids)[None, :])
         return self._pencils[self._rows[:k].take(ids, axis=1) + self._base[:k]]
 
     def add(self, pid: int) -> None:
@@ -155,7 +157,7 @@ class Coverage:
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
         pl = self.plane
-        k = len(self._arc_ids)
+        k = len(self.arc_points)
         self.covered[pid] = True
         self.covered_count += 1
         if k:
@@ -178,7 +180,6 @@ class Coverage:
             pl.slot_row(pid, pen_pts, self._rows[k])
             self._pencils[k * (pl.q + 1):(k + 1) * (pl.q + 1)] = pencil
         self.arc_points.append(int(pid))
-        self._arc_ids = np.append(self._arc_ids, pid)
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.

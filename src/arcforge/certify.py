@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .arc import Arc, verify_arc, verify_complete
-from .plane import DEFAULT_POINT_CAP, PlaneIndex, build_plane
+from .plane import build_plane
 
 
 class ParseError(ValueError):
@@ -86,8 +86,7 @@ def _parse_ints(text: str, lineno: int) -> list[int]:
     return vals
 
 
-def read_certificate(path, point_cap: int = DEFAULT_POINT_CAP
-                     ) -> tuple[Arc, bool | None]:
+def read_certificate(path) -> tuple[Arc, bool | None]:
     """Parse and normalize a certificate; returns (arc, claimed_complete).
 
     The arc is built on a plane over the claimant's own modulus.
@@ -112,7 +111,7 @@ def read_certificate(path, point_cap: int = DEFAULT_POINT_CAP
             raise ReducibleModulus(str(exc)) from exc
         raise ParseError(str(exc), 1) from exc
 
-    plane = build_plane(fld, point_cap)
+    plane = build_plane(fld)
     claimed_size = None
     claimed_complete = None
     points: list[int] = []
@@ -151,9 +150,9 @@ def read_certificate(path, point_cap: int = DEFAULT_POINT_CAP
     return Arc(plane, points), claimed_complete
 
 
-def read_and_verify(path, point_cap: int = DEFAULT_POINT_CAP) -> VerifyReport:
+def read_and_verify(path) -> VerifyReport:
     """Independently re-verify a certificate from scratch."""
-    arc, claimed_complete = read_certificate(path, point_cap)
+    arc, claimed_complete = read_certificate(path)
     is_arc = verify_arc(arc)
     is_complete = verify_complete(arc)[0] if is_arc else False
     return VerifyReport(

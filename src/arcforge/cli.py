@@ -38,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sample-size", type=int, default=4096)
     s.add_argument("--time-budget", type=float,
                    help="wall-clock cap in seconds; it starts after the "
-                        "plane and its tables are built, but with --jobs N "
-                        "each worker builds its own copy once inside it")
+                        "plane and its tables are built, which happens once "
+                        "for any --jobs")
 
     v = add_parser("verify", help="independently verify a certificate")
     v.add_argument("file")

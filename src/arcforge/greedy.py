@@ -10,8 +10,8 @@ Until an arc has five points every candidate covers exactly the same number
 of new points (the first asymmetry comes from the diagonal points of a
 quadrilateral of arc points), so the greedy objective only starts
 discriminating at size five; the random seed prefix is therefore the main
-diversity knob, and a restart schedule can cycle its length (``seed_cycle``)
-to sweep both shallow and deep randomization.
+diversity knob, and restarts cycle its length (``default_seed_cycle``) to
+sweep both shallow and deep randomization.
 
 A trial's randomness is a pure function of (master_seed, trial_index): each
 step draws exactly one integer to pick from a canonically ordered candidate
@@ -24,10 +24,11 @@ candidate's gain is one plus the sum over the lines joining it to each arc
 point (all tangents, pairwise meeting only at the candidate) of their
 uncovered counts minus one.  The kernel finds those lines in a slot row it
 keeps for each arc point, so scoring is lookups, not field arithmetic.
-There is one engine at every q: exact searches on planes small enough for
-the dense incidence tables build them before the clock starts, and the
-kernel then copies its slot rows from them instead of scattering them,
-with the same results.
+There is one engine at every q and one table rule: a search on a plane
+small enough for the dense incidence tables (q <= 109, any candidate policy)
+builds them once, before the clock starts and before any worker process
+forks, and the kernel then copies its slot rows from them instead of
+scattering them, with the same results.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import bounds
 from .arc import Arc, Coverage, NotAnArc, verify_arc, verify_complete
 from .gf import factor_prime_power, field_of_order
-from .plane import DEFAULT_POINT_CAP, PlaneIndex, build_plane
+from .plane import PlaneIndex, build_plane
 
 _BLOCK_TRIALS = 64      # trials per worker between merges and checks
 
@@ -76,29 +77,19 @@ class SearchConfig:
     master_seed: int = 0
     candidate_policy: str = "exact"  # "exact" scores all uncovered, "sample" a subset
     sample_size: int = 4096
-    top_k: int = 1
-    seed_arc_size: int | None = None   # None: cycle default_seed_cycle(q)
-    seed_cycle: tuple[int, ...] | None = None
     time_budget: float | None = None
     target_size: int | str | None = "auto"  # "auto": embedded table value for q
-    point_cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-        if self.seed_arc_size is not None and self.seed_arc_size < 0:
-            raise ValueError("seed_arc_size must be >= 0")
         if self.candidate_policy not in ("exact", "sample"):
             raise ValueError(f"unknown candidate policy {self.candidate_policy!r}")
 
     def seed_size_for(self, trial_index: int) -> int:
-        if self.seed_arc_size is not None:
-            return self.seed_arc_size
-        cycle = self.seed_cycle or default_seed_cycle(self.q)
+        cycle = default_seed_cycle(self.q)
         return cycle[trial_index % len(cycle)]
 
     def resolved_target(self) -> int | None:
@@ -157,11 +148,10 @@ class _Trial(Coverage):
     """One greedy run: the coverage kernel plus its RNG and candidate policy."""
 
     def __init__(self, plane: PlaneIndex, rng: np.random.Generator,
-                 top_k: int = 1, policy: str = "exact", sample_size: int = 4096,
+                 policy: str = "exact", sample_size: int = 4096,
                  seed_arc_size: int = 2):
         super().__init__(plane)
         self.rng = rng
-        self.top_k = top_k
         self.policy = policy
         self.sample_size = sample_size
         self.seed_arc_size = seed_arc_size
@@ -175,11 +165,7 @@ class _Trial(Coverage):
             pool = cands
         else:
             g = self.gains(cands)
-            if self.top_k == 1:
-                pool = cands[g == g.max()]
-            else:
-                order = np.lexsort((cands, -g))  # gain desc, id asc
-                pool = cands[order[:min(self.top_k, len(cands))]]
+            pool = cands[g == g.max()]
         return int(pool[self.rng.integers(len(pool))])
 
     def run(self) -> list[int]:
@@ -195,7 +181,7 @@ class _Trial(Coverage):
 def greedy_trial(plane: PlaneIndex, cfg: SearchConfig,
                  rng: np.random.Generator, trial_index: int = 0) -> Arc:
     """One randomized greedy run; the result is complete by construction."""
-    trial = _Trial(plane, rng, top_k=cfg.top_k, policy=cfg.candidate_policy,
+    trial = _Trial(plane, rng, policy=cfg.candidate_policy,
                    sample_size=cfg.sample_size,
                    seed_arc_size=cfg.seed_size_for(trial_index))
     return Arc(plane, trial.run())
@@ -218,16 +204,7 @@ def complete_extension(plane: PlaneIndex, arc: Arc,
 def _plane_for(cfg: SearchConfig) -> PlaneIndex:
     if factor_prime_power(cfg.q) is None:
         raise ValueError(f"q = {cfg.q} is not a prime power")
-    return build_plane(field_of_order(cfg.q), point_cap=cfg.point_cap)
-
-
-def _prepare_plane(plane: PlaneIndex, cfg: SearchConfig) -> None:
-    """Build the dense tables when an exact search on this plane uses them.
-
-    They change a search's speed, not its arcs.
-    """
-    if cfg.candidate_policy == "exact" and plane.has_tables():
-        plane.incidence_tables()
+    return build_plane(field_of_order(cfg.q))
 
 
 def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
@@ -250,18 +227,20 @@ def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
     return results
 
 
-_WORKER_PLANES: dict[tuple[int, int], PlaneIndex] = {}
+_worker_plane: PlaneIndex | None = None
+
+
+def _init_worker(plane: PlaneIndex) -> None:
+    """Pool initializer: under fork the worker inherits the plane and tables."""
+    global _worker_plane
+    _worker_plane = plane
 
 
 def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
                 deadline: float | None) -> list[tuple[int, list[int]]]:
-    """Process-pool entry point; planes and tables are built once per worker."""
-    key = (cfg.q, cfg.point_cap)
-    plane = _WORKER_PLANES.get(key)
-    if plane is None:
-        plane = _WORKER_PLANES[key] = _plane_for(cfg)
-    _prepare_plane(plane, cfg)
-    return _run_batch(plane, cfg, indices, stop_at=stop_at, deadline=deadline)
+    """Process-pool entry point: one share of a block on the parent's plane."""
+    return _run_batch(_worker_plane, cfg, indices, stop_at=stop_at,
+                      deadline=deadline)
 
 
 def search(cfg: SearchConfig, jobs: int = 1,
@@ -271,14 +250,16 @@ def search(cfg: SearchConfig, jobs: int = 1,
     Deterministic for fixed (cfg, master_seed): per-trial streams derive
     from (master_seed, trial_index) and the early-stop / merge rule depends
     only on trial indices, so any ``jobs`` level yields the same result.
-    ``time_budget`` and ``elapsed`` count from after the plane and, when
-    this process runs the trials, its tables are built; with ``jobs > 1``
-    each worker builds its own plane and tables once, inside the budget.
+    This is the one place a search is set up: the plane and, when they fit
+    (``has_tables``), its dense tables are built here once, and with
+    ``jobs > 1`` every worker starts from them.  The tables change a
+    search's speed, not its arcs.  ``time_budget`` and ``elapsed`` count
+    from after that build.
     """
     if plane is None:
         plane = _plane_for(cfg)
-    if jobs <= 1:
-        _prepare_plane(plane, cfg)
+    if plane.has_tables():
+        plane.incidence_tables()
     t0 = time.monotonic()
     target = cfg.resolved_target()
     block = max(jobs, 1) * _BLOCK_TRIALS
@@ -290,11 +271,11 @@ def search(cfg: SearchConfig, jobs: int = 1,
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                   initargs=(plane,))
     try:
         while done < cfg.trials:
-            if (cfg.time_budget is not None
-                    and time.monotonic() - t0 > cfg.time_budget):
+            if deadline is not None and time.monotonic() > deadline:
                 if not results:
                     raise BudgetExhausted(
                         "time budget expired before any trial completed")

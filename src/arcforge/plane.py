@@ -31,7 +31,7 @@ TABLE_BYTE_CAP = 300_000_000
 
 
 class MemoryBudgetExceeded(MemoryError):
-    """The plane would have more points than the configured cap."""
+    """The plane would have more points than DEFAULT_POINT_CAP."""
 
 
 class EqualPoints(ValueError):
@@ -53,12 +53,12 @@ class Line:
 class PlaneIndex:
     """PG(2,q) over a given field: ids, incidence, pencils."""
 
-    def __init__(self, field: Field, point_cap: int = DEFAULT_POINT_CAP):
+    def __init__(self, field: Field):
         q = field.q
         n = q * q + q + 1
-        if n > point_cap:
+        if n > DEFAULT_POINT_CAP:
             raise MemoryBudgetExceeded(
-                f"PG(2,{q}) has {n} points, above the cap of {point_cap}")
+                f"PG(2,{q}) has {n} points, above the cap of {DEFAULT_POINT_CAP}")
         self.field = field
         self.q = q
         self.n_points = n
@@ -164,15 +164,6 @@ class PlaneIndex:
 
     # -- id queries, read from the dense tables once they are built ----------
 
-    def join_point_ids(self, a, b):
-        """Ids of the lines joining point ids a and b (broadcast).
-
-        Equal points give 0.  Always computed with join_ids: the coverage
-        kernel looks joins up in its own per-point slot rows and asks for
-        computed ones only on planes too large to keep those rows.
-        """
-        return self.join_ids(self.triples_of_ids(a), self.triples_of_ids(b))
-
     def incident_ids(self, ids):
         """(...,) ids -> (..., q+1) incident ids, unsorted.
 
@@ -262,9 +253,9 @@ class PlaneIndex:
         return int(self.ids_of_triples(self.normalize_triples(t)))
 
 
-def build_plane(field: Field, point_cap: int = DEFAULT_POINT_CAP) -> PlaneIndex:
+def build_plane(field: Field) -> PlaneIndex:
     """Index PG(2,q) for the given field."""
-    return PlaneIndex(field, point_cap)
+    return PlaneIndex(field)
 
 
 def line_through(plane: PlaneIndex, p1: Point, p2: Point) -> Line:

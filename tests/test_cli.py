@@ -1,7 +1,10 @@
+import argparse
+import dataclasses
+
 import pytest
 
 from arcforge import greedy
-from arcforge.cli import main
+from arcforge.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -45,6 +48,21 @@ def test_search_dead_budget(capsys):
     code, _, err = run(capsys, "search", "--q", "9", "--trials", "10",
                        "--time-budget", "0")
     assert code == 1 and "budget" in err
+
+
+def test_search_surface_is_pinned():
+    # a new knob must be added here on purpose: every field and flag should
+    # have a caller besides the tests
+    assert [f.name for f in dataclasses.fields(greedy.SearchConfig)] == [
+        "q", "trials", "master_seed", "candidate_policy", "sample_size",
+        "time_budget", "target_size"]
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [opt for a in sub.choices["search"]._actions
+             for opt in a.option_strings]
+    assert flags == ["-h", "--help", "--q", "--trials", "--seed", "--target",
+                     "--out", "--jobs", "--policy", "--sample-size",
+                     "--time-budget"]
 
 
 def test_search_writes_certificate(capsys, tmp_path):

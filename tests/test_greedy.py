@@ -25,11 +25,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(q=5, trials=0)
     with pytest.raises(ValueError):
-        SearchConfig(q=5, top_k=0)
-    with pytest.raises(ValueError):
         SearchConfig(q=5, candidate_policy="anneal")
-    with pytest.raises(ValueError):
-        SearchConfig(q=5, seed_arc_size=-1)
 
 
 def test_seed_cycle_defaults():
@@ -37,8 +33,6 @@ def test_seed_cycle_defaults():
     assert cyc == (5, 6)
     cfg = SearchConfig(q=11)
     assert [cfg.seed_size_for(i) for i in range(4)] == [5, 6, 5, 6]
-    fixed = SearchConfig(q=11, seed_arc_size=3)
-    assert fixed.seed_size_for(9) == 3
 
 
 def test_target_resolution():
@@ -87,8 +81,9 @@ def test_trial_matches_incremental_coverage():
 
 
 def test_trials_equal_with_and_without_tables():
+    # every search on these planes reads the tables, under either policy
     for q in (7, 11, 16):
-        for kwargs in ({}, {"seed_arc_size": 6}, {"top_k": 2}):
+        for kwargs in ({}, {"candidate_policy": "sample", "sample_size": 32}):
             cfg = SearchConfig(q=q, **kwargs)
             bare, tabled = _plane_for(cfg), _plane_for(cfg)
             tabled.incidence_tables()
@@ -164,11 +159,11 @@ def test_search_jobs_early_stop_matches_serial():
 
 
 def test_search_jobs_respects_time_budget():
-    # one worker's share of a block (64 sampled trials at q = 81, about
-    # 30 ms each) takes seconds; the workers must stop at the deadline, not
-    # at the block end
+    # one worker's share of a block (64 sampled trials at q = 121, which
+    # has no tables, about 0.14 s each) takes seconds; the workers must stop
+    # at the deadline, not at the block end
     budget = 0.5
-    cfg = SearchConfig(q=81, trials=10**6, master_seed=0,
+    cfg = SearchConfig(q=121, trials=10**6, master_seed=0,
                        candidate_policy="sample", target_size=None,
                        time_budget=budget)
     t0 = time.monotonic()
@@ -177,6 +172,15 @@ def test_search_jobs_respects_time_budget():
     assert rep.budget_exhausted
     assert 1 <= rep.trials_run < 64
     assert elapsed < budget + 2.0
+
+
+def test_search_jobs_shares_the_tables():
+    # the parent builds the q = 101 tables before the clock starts and the
+    # workers inherit them, so no worker spends the budget on its own copy
+    rep = search(SearchConfig(q=101, trials=10**6, target_size=None,
+                              time_budget=0.5), jobs=2)
+    assert rep.budget_exhausted
+    assert rep.elapsed < 1.0
 
 
 def test_search_time_budget():

@@ -198,7 +198,8 @@ def test_point_id_accepts_unnormalized():
 
 def test_memory_cap():
     with pytest.raises(MemoryBudgetExceeded):
-        build_plane(Field(9109, 1), point_cap=1000)
+        # the smallest prime power above the tabulated range: 83.3M points
+        build_plane(Field(9127, 1))
 
 
 def test_deterministic_ordering():
