@@ -13,6 +13,7 @@ import sys
 
 from . import bounds, certify, greedy
 from .gf import factor_prime_power
+from .plane import MemoryBudgetExceeded
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,10 +69,10 @@ def cmd_search(args) -> int:
             candidate_policy=args.policy, sample_size=args.sample_size,
             time_budget=args.time_budget,
             target_size=args.target if args.target is not None else "auto")
-    except ValueError as exc:
+        plane = greedy._plane_for(cfg)
+    except (ValueError, MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    plane = greedy._plane_for(cfg)
     try:
         report = greedy.search(cfg, jobs=max(args.jobs, 1), plane=plane)
     except greedy.BudgetExhausted as exc:
@@ -89,11 +90,9 @@ def cmd_search(args) -> int:
 def cmd_verify(args) -> int:
     try:
         rep = certify.read_and_verify(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (certify.ParseError, certify.ReducibleModulus,
-            certify.DuplicatePoint, certify.ZeroTriple) as exc:
+    except (OSError, certify.ParseError, certify.ReducibleModulus,
+            certify.DuplicatePoint, certify.ZeroTriple,
+            MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     lb = bounds.lower_bound(rep.q)
@@ -164,6 +163,8 @@ def cmd_stats(args) -> int:
     table = bounds.default_table()
     try:
         rows = bounds.stats_rows(table, c=args.c, q_min=args.qmin)
+        if not rows:
+            raise ValueError(f"no tabulated q >= {args.qmin}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

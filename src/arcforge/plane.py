@@ -11,9 +11,11 @@ indices), which makes the id <-> triple map pure arithmetic:
     (0,1,z)            -> 1 + z
     (1,y,z)            -> 1 + q + y*q + z
 
-so nothing per-point is ever stored.  The same map serves lines.  All heavy
-operations are vectorized over numpy index arrays; a PlaneIndex is immutable
-after construction and safe to share between workers.
+so nothing per-point is ever stored.  The same map serves lines.  A line
+lists its points from its affine slope: in x0 = 1 it is x2 = c + s*x1 (or
+x1 = a), so its affine points come out normalized.  All heavy operations are
+vectorized over numpy index arrays; a PlaneIndex is immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -131,36 +133,32 @@ class PlaneIndex:
         return np.where(lead0, 1 + q + y * q + z,
                         np.where(lead1, 1 + z, 0)).astype(self._dt)
 
-    def null_pencils(self, w):
-        """All q+1 normalized triples orthogonal to each triple of w.
-
-        (..., 3) -> (..., q+1, 3).  For a line triple this enumerates its
-        points; for a point triple, the lines through it.
-        """
-        f, q = self.field, self.q
-        w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
-        case_a = w0 != 0
-        case_b = (~case_a) & (w1 != 0)
-        inv0 = f.inv_arr(np.where(case_a, w0, 1))
-        inv1 = f.inv_arr(np.where(w1 != 0, w1, 1))
-        zeros = np.zeros_like(w0)
-        ones = np.ones_like(w0)
-        u1 = np.stack([np.where(case_a, f.mul_arr(f.neg_arr(w1), inv0), ones),
-                       np.where(case_a, ones, zeros),
-                       zeros], axis=-1)
-        u2c0 = np.where(case_a, f.mul_arr(f.neg_arr(w2), inv0), zeros)
-        u2c1 = np.where(case_a, zeros,
-                        np.where(case_b, f.mul_arr(f.neg_arr(w2), inv1), ones))
-        u2c2 = np.where(case_a | case_b, ones, zeros)
-        u2 = np.stack([u2c0, u2c1, u2c2], axis=-1)
-        ts = np.arange(q, dtype=self._dt).reshape((1,) * w0.ndim + (q, 1))
-        sols = f.add_arr(u1[..., None, :], f.mul_arr(ts, u2[..., None, :]))
-        sols = np.concatenate([sols, u2[..., None, :]], axis=-2)
-        return self.normalize_triples(sols)
-
     def points_on_lines_arr(self, line_ids):
-        """(m,) line ids -> (m, q+1) point ids, unsorted."""
-        return self.ids_of_triples(self.null_pencils(self.triples_of_ids(line_ids)))
+        """(...,) line ids -> (..., q+1) point ids, unsorted.
+
+        A line with l2 != 0 holds (1, t, c + s*t) for t in GF(q), with slope
+        s = -l1/l2 and c = -l0/l2, then (0, 1, s); a vertical line (l2 = 0)
+        holds (1, a, t) with a = -l0/l1, then (0, 0, 1); the line at infinity
+        (1, 0, 0) holds (0, 1, t) and (0, 0, 1).  That is one inverse per
+        line and one product and one sum per point.  By self-duality the
+        same call lists the lines through points.
+        """
+        f, q, dt = self.field, self.q, self._dt
+        lids = np.asarray(line_ids)
+        l0, l1, l2 = self.triples_of_ids(lids.reshape(-1)).T
+        steep = l2 != 0
+        inv = f.inv_arr(np.where(steep, l2, np.where(l1 != 0, l1, 1)))
+        c = f.mul_arr(f.neg_arr(l0), inv)  # intercept, or a when vertical
+        s = f.mul_arr(f.neg_arr(l1), inv)
+        t = np.arange(q, dtype=dt)
+        out = np.empty((len(l0), q + 1), dtype=dt)
+        np.add(f.add_arr(c[:, None], f.mul_arr(s[:, None], t)), t * q + 1 + q,
+               out=out[:, :q])
+        out[:, q] = 1 + s
+        flat = np.flatnonzero(~steep)
+        out[flat, :q] = np.where(l1[flat, None] != 0, 1 + q + c[flat, None] * q, 1) + t
+        out[flat, q] = 0
+        return out.reshape(lids.shape + (q + 1,))
 
     # -- id queries, read from the dense tables once they are built ----------
 

@@ -44,6 +44,13 @@ def test_search_bad_trials(capsys):
     assert code == 2 and "trials" in err
 
 
+def test_search_plane_above_point_cap(capsys):
+    # 10007 is prime, but PG(2,10007) has more points than the plane allows
+    code, out, err = run(capsys, "search", "--q", "10007", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+
+
 def test_search_dead_budget(capsys):
     code, _, err = run(capsys, "search", "--q", "9", "--trials", "10",
                        "--time-budget", "0")
@@ -116,6 +123,14 @@ def test_verify_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_plane_above_point_cap(capsys, tmp_path):
+    path = tmp_path / "huge.arc"
+    path.write_text("10007 10007 1 0 1\n1 0 0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.arc"))
     assert code == 2
@@ -173,6 +188,14 @@ def test_stats_csv(capsys, tmp_path):
 def test_stats_rejects_bad_exponent(capsys):
     code, _, err = run(capsys, "stats", "--c", "1.5")
     assert code == 2
+
+
+def test_stats_no_rows_above_qmin(capsys, tmp_path):
+    csv = tmp_path / "stats.csv"
+    code, out, err = run(capsys, "stats", "--qmin", "100000", "--csv", str(csv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not csv.exists()
 
 
 def test_usage_error_exit_code():

@@ -146,23 +146,35 @@ def test_every_point_on_exactly_q_plus_1_lines(q):
     assert ((dots == 0).sum(axis=0) == q + 1).all()
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 16, 25, 27, 49,
+                               243, 256, 257, 625, 729, 1024])
 def test_line_point_lists(q):
     pl = plane_of(q)
-    lids = np.arange(pl.n_lines)
+    exhaustive = q <= 49
+    if exhaustive:
+        lids = np.arange(pl.n_lines)
+    else:
+        # line 0 (x2 = 0), the line at infinity (1,0,0), two vertical lines
+        # (0,1,0) and (1,7,0), and a random sample
+        rng = np.random.default_rng(q)
+        lids = np.concatenate([[0, q + 1, 1, 1 + q + 7 * q],
+                               rng.choice(pl.n_lines, size=300, replace=False)])
     rows = pl.points_on_lines_arr(lids)
-    assert rows.shape == (pl.n_lines, q + 1)
-    # each row: q+1 distinct incident points
+    assert rows.shape == (len(lids), q + 1) and rows.dtype == pl._dt
+    # each row: q+1 distinct incident points, by raw incidence
     tri_l = pl.triples_of_ids(lids)
     tri_p = pl.triples_of_ids(rows)
     assert (pl.dot_triples(tri_p, tri_l[:, None, :]) == 0).all()
-    for row in rows:
-        assert len(set(row.tolist())) == q + 1
-    # union over all lines covers every point exactly q+1 times
-    counts = np.bincount(rows.ravel(), minlength=pl.n_points)
-    assert (counts == q + 1).all()
-    # total incidences
-    assert rows.size == pl.n_points * (q + 1)
+    assert (np.diff(np.sort(rows, axis=1), axis=1) > 0).all()
+    assert ((rows >= 0) & (rows < pl.n_points)).all()
+    # a scalar id and a 2-D id array give the same rows as the 1-D call
+    assert (pl.points_on_lines_arr(int(lids[1])) == rows[1]).all()
+    grid = pl.points_on_lines_arr(lids[:6].reshape(2, 3))
+    assert (grid == rows[:6].reshape(2, 3, q + 1)).all()
+    if exhaustive:
+        # union over all lines covers every point exactly q+1 times
+        counts = np.bincount(rows.ravel(), minlength=pl.n_points)
+        assert (counts == q + 1).all()
 
 
 @pytest.mark.parametrize("q", [3, 7, 9, 16])
