@@ -11,9 +11,9 @@ serve as the independent verifiers; they never read the plane's tables.
 at a time, keeps the covered mask and the uncovered count of every line
 through the arc, and from those scores candidates by their exact coverage
 gain.  It indexes each arc point's pencil once, when the point is added,
-so the line joining an arc point to a candidate is a lookup, not a field
-computation.  The greedy search, arc extension and the oracle tests all
-run it.
+so a join of an arc point and a candidate is a slot lookup, not a field
+computation; gains sum the arc's pencil counts at slots, a group of arc
+points at a time.  The greedy search, arc extension and oracle tests run it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 from .plane import TABLE_BYTE_CAP, PlaneIndex
 
 _LINE_CHUNK = 2048  # bounds the (lines x q+1) marking buffers
-# elements per (candidates x arc) scoring block: each int64 gather
-# temporary is 2 MB (2^22 elements, 32 MB, scored q = 256 arcs slower)
-_GAIN_CHUNK = 1 << 18
+# bounds (arc points x candidates) per gains group: its int64 temporaries
+# hold at most 2^16 elements (512 KB), or one arc point's m when m is larger
+_GAIN_CHUNK = 1 << 16
 
 
 class NotAnArc(ValueError):
@@ -112,8 +112,9 @@ class Coverage:
     exact for every line through an arc point (entries for lines missing the
     arc are unused).  For each arc point a it keeps a's pencil (the q+1
     lines through a, in incident_ids order) and a slot row: for every point
-    x, the position of line ax within that pencil.  The line joining an arc
-    point to any point is then two lookups.  The rows are kept only while
+    x, the position of line ax within that pencil.  ``gains`` reads the
+    k(q+1) pencil counts once per call and gathers them at slots; ``add``
+    counts the tangents it decrements by slot.  The rows are kept while
     q+2 of them (the most an arc can have) fit TABLE_BYTE_CAP; larger
     planes compute the joins from coordinates instead.  Never share one
     instance between concurrent workers.
@@ -139,18 +140,18 @@ class Coverage:
     def uncovered_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.covered)
 
-    def _joins(self, ids: np.ndarray) -> np.ndarray:
-        """(k, m) ids of the lines joining each arc point to each of ids.
+    def _joins(self, ids: np.ndarray, group: slice = slice(None)):
+        """(g, m) joins of the arc points arc_points[group] to each of ids.
 
-        The ids must not be arc points.  Planes too large to keep slot rows
-        compute the joins from coordinates.
+        With slot rows, positions in the arc's pencils (_pencils maps them to
+        line ids); without, line ids from coordinates.  No id is an arc point.
         """
-        k = len(self.arc_points)
         if self._rows is None:
             pl = self.plane
-            arc = pl.triples_of_ids(np.asarray(self.arc_points))
+            arc = pl.triples_of_ids(np.asarray(self.arc_points[group]))
             return pl.join_ids(arc[:, None], pl.triples_of_ids(ids)[None, :])
-        return self._pencils[self._rows[:k].take(ids, axis=1) + self._base[:k]]
+        k = len(self.arc_points)
+        return self._rows[:k][group].take(ids, axis=1) + self._base[:k][group]
 
     def add(self, pid: int) -> None:
         """Adjoin an uncovered point: cover its new secants, update counts."""
@@ -163,12 +164,17 @@ class Coverage:
         if k:
             # two new secants meet only at pid, so every other newly covered
             # point lies on exactly one of them and appears once
-            sec_pts = pl.incident_ids(self._joins(np.array([pid]))[:, 0]).ravel()
+            sec = self._joins(np.array([pid]))[:, 0]
+            sec_pts = pl.incident_ids(sec if self._rows is None else self._pencils[sec])
             newly = sec_pts[~self.covered[sec_pts]]
             # every tangent through a freshly covered point loses it exactly
             # once: those lines are the joins to the k existing arc points
-            dec = self._joins(newly)
-            self.uncov_on_line -= np.bincount(dec.ravel(), minlength=pl.n_lines)
+            dec = self._joins(newly).ravel()
+            if self._rows is None:
+                self.uncov_on_line -= np.bincount(dec, minlength=pl.n_lines)
+            else:  # slot positions, counted over the arc's k pencils
+                np.subtract.at(self.uncov_on_line, self._pencils[:k * (pl.q + 1)],
+                               np.bincount(dec, minlength=k * (pl.q + 1)))
             self.covered[newly] = True
             self.covered_count += len(newly)
         # fresh counts for the whole pencil at pid (this also overwrites the
@@ -190,12 +196,11 @@ class Coverage:
         """
         if self.covered[cand_ids].any():
             raise CoveredPoint("gains are defined for uncovered points only")
-        k = len(self.arc_points)
-        if k == 0:
-            return np.ones(len(cand_ids), dtype=np.int64)
-        out = np.empty(len(cand_ids), dtype=np.int64)
-        step = max(1, _GAIN_CHUNK // k)
-        for lo in range(0, len(cand_ids), step):
-            chunk = cand_ids[lo:lo + step]
-            out[lo:lo + step] = self.uncov_on_line[self._joins(chunk)].sum(axis=0)
-        return out - (k - 1)
+        k, m = len(self.arc_points), len(cand_ids)
+        counts = (self.uncov_on_line if self._rows is None else
+                  self.uncov_on_line[self._pencils[:k * (self.plane.q + 1)]])
+        out = np.full(m, 1 - k, dtype=np.int64)
+        step = max(1, _GAIN_CHUNK // max(m, 1))  # arc points per group
+        for lo in range(0, k, step):
+            out += counts[self._joins(cand_ids, slice(lo, lo + step))].sum(0)
+        return out

@@ -9,6 +9,7 @@ written only via --out / --csv.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bounds, certify, greedy
@@ -70,6 +71,8 @@ def cmd_search(args) -> int:
             time_budget=args.time_budget,
             target_size=args.target if args.target is not None else "auto")
         plane = greedy._plane_for(cfg)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"no directory to write {args.out} into")
     except (ValueError, MemoryBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -81,8 +84,12 @@ def cmd_search(args) -> int:
     sys.stdout.write(report.summary())
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.out:
-        certify.write_certificate(report.best_arc(plane), args.out,
-                                  complete=True)
+        try:
+            certify.write_certificate(report.best_arc(plane), args.out,
+                                      complete=True)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"certificate written to {args.out}", file=sys.stderr)
     return 0
 

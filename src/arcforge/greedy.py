@@ -85,6 +85,8 @@ class SearchConfig:
             raise ValueError("trials must be >= 1")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be a number of seconds >= 0")
         if self.candidate_policy not in ("exact", "sample"):
             raise ValueError(f"unknown candidate policy {self.candidate_policy!r}")
 

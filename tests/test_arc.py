@@ -390,6 +390,17 @@ def scratch_coverage(pl, pts):
     return covered
 
 
+def scratch_gains(pl, pts, covered, cands):
+    """Distinct uncovered points on the lines joining each candidate to pts."""
+    tri = pl.triples_of_ids(np.asarray(pts))
+    lids = pl.join_ids(pl.triples_of_ids(cands)[:, None, :], tri[None, :, :])
+    new = np.sort(pl.points_on_lines_arr(lids.ravel())
+                  .reshape(len(cands), -1), axis=1)
+    first = np.ones(new.shape, dtype=bool)
+    first[:, 1:] = new[:, 1:] != new[:, :-1]
+    return (first & ~covered[new]).sum(axis=1)
+
+
 @pytest.mark.parametrize("q, dtype", [(251, np.uint8), (256, np.uint16)])
 def test_kernel_matches_scratch_where_slots_widen(q, dtype):
     # q + 1 = 252 slots still fit a byte; q + 1 = 257 need two
@@ -410,14 +421,67 @@ def test_kernel_matches_scratch_where_slots_widen(q, dtype):
         # gains: the distinct uncovered points on the new secants
         unc = np.flatnonzero(~covered)
         cands = rng.choice(unc, size=min(2000, len(unc)), replace=False)
-        tri = pl.triples_of_ids(np.asarray(pts))
         for lo in range(0, len(cands), 250):
             chunk = cands[lo:lo + 250]
-            lids = pl.join_ids(pl.triples_of_ids(chunk)[:, None, :],
-                               tri[None, :, :])
-            new = np.sort(pl.points_on_lines_arr(lids.ravel())
-                          .reshape(len(chunk), -1), axis=1)
-            first = np.ones(new.shape, dtype=bool)
-            first[:, 1:] = new[:, 1:] != new[:, :-1]
-            expect = (first & ~covered[new]).sum(axis=1)
-            assert (cov.gains(chunk) == expect).all()
+            assert (cov.gains(chunk) == scratch_gains(pl, pts, covered, chunk)).all()
+
+
+# gains sums the arc's pencil counts over groups of arc points, with
+# group x candidates <= _GAIN_CHUNK; "one" makes every group a single arc
+# point, "uneven" makes groups of three, so the last group is short whenever
+# three does not divide the arc size
+def set_groups(monkeypatch, groups, m):
+    monkeypatch.setattr(arc_module, "_GAIN_CHUNK", 1 if groups == "one" else 3 * m)
+
+
+def use_source(pl, source, monkeypatch):
+    if source == "tables":
+        pl.incidence_tables()
+    if source == "computed":
+        monkeypatch.setattr(arc_module, "TABLE_BYTE_CAP", 0)
+    assert (Coverage(pl)._rows is None) == (source == "computed")
+
+
+@pytest.mark.parametrize("groups", ["one", "uneven"])
+@pytest.mark.parametrize("source", ["rows", "tables", "computed"])
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_grouped_gains_match_scratch(q, source, groups, monkeypatch):
+    pl, inc = plane_and_incidence(q)
+    use_source(pl, source, monkeypatch)
+    rng = np.random.default_rng(q)
+    for _ in range(3):
+        cov = Coverage(pl)
+        while not cov.is_complete():
+            unc = cov.uncovered_ids()
+            set_groups(monkeypatch, groups, len(unc))
+            check_against_scratch(cov, inc, unc)
+            cov.add(int(rng.choice(unc)))
+        check_against_scratch(cov, inc, cov.uncovered_ids())
+
+
+@pytest.mark.parametrize("groups", ["one", "uneven"])
+@pytest.mark.parametrize("source", ["rows", "computed"])
+@pytest.mark.parametrize("q", [251, 256])
+def test_grouped_gains_where_slots_widen(q, source, groups, monkeypatch):
+    pl = plane_of(q)
+    use_source(pl, source, monkeypatch)
+    rng = np.random.default_rng(q)
+    cov = Coverage(pl)
+    for _ in range(7):
+        cov.add(int(rng.choice(cov.uncovered_ids())))
+        covered = scratch_coverage(pl, cov.arc_points)
+        cands = rng.choice(np.flatnonzero(~covered), size=300, replace=False)
+        set_groups(monkeypatch, groups, len(cands))
+        expect = scratch_gains(pl, cov.arc_points, covered, cands)
+        assert (cov.gains(cands) == expect).all()
+
+
+@pytest.mark.parametrize("source", ["rows", "tables", "computed"])
+def test_gains_of_no_candidates(source, monkeypatch):
+    pl = plane_of(7)
+    use_source(pl, source, monkeypatch)
+    cov = Coverage(pl)
+    for pid in frame_ids(pl)[:3]:
+        g = cov.gains(np.array([], dtype=np.int64))
+        assert g.dtype == np.int64 and g.shape == (0,)
+        cov.add(pid)

@@ -57,6 +57,30 @@ def test_search_dead_budget(capsys):
     assert code == 1 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_search_rejects_bad_budget(capsys, budget):
+    code, out, err = run(capsys, "search", "--q", "9", "--trials", "10",
+                         "--time-budget", budget)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "time_budget" in err
+
+
+def test_search_out_in_missing_directory(capsys, tmp_path):
+    # refused before the search runs: nothing is printed on stdout
+    code, out, err = run(capsys, "search", "--q", "7", "--trials", "5",
+                         "--out", str(tmp_path / "missing" / "x.arc"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
+
+
+def test_search_out_unwritable(capsys, tmp_path):
+    # the directory exists but the path is a directory: the write fails
+    code, out, err = run(capsys, "search", "--q", "7", "--trials", "5",
+                         "--out", str(tmp_path))
+    assert code == 2 and out.startswith("q 7\n")
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_search_surface_is_pinned():
     # a new knob must be added here on purpose: every field and flag should
     # have a caller besides the tests

@@ -196,6 +196,17 @@ def test_search_time_budget():
     assert rep.trials_run >= 1
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -0.5, float("-inf")])
+def test_config_rejects_bad_time_budget(budget):
+    with pytest.raises(ValueError, match="time_budget"):
+        SearchConfig(q=13, time_budget=budget)
+
+
+def test_config_accepts_zero_and_infinite_budget():
+    assert SearchConfig(q=13, time_budget=0.0).time_budget == 0.0
+    assert SearchConfig(q=13, time_budget=float("inf")).time_budget == float("inf")
+
+
 def test_search_time_budget_with_tables():
     # exact policy at q = 49 reads the dense tables; the deadline is
     # checked after every trial, not after a block of them
