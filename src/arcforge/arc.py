@@ -9,11 +9,11 @@ is covered, since an uncovered point could always be adjoined.
 serve as the independent verifiers; they never read the plane's tables.
 ``Coverage`` is the one incremental kernel: it adjoins uncovered points one
 at a time, keeps the covered mask and the uncovered count of every line
-through the arc, and from those scores candidates by their exact coverage
-gain.  It indexes each arc point's pencil once, when the point is added,
-so a join of an arc point and a candidate is a slot lookup, not a field
-computation; gains sum the arc's pencil counts at slots, a group of arc
-points at a time.  The greedy search, arc extension and oracle tests run it.
+through the arc, stored per arc point and pencil slot, and from those scores
+candidates by their exact coverage gain.  A join of an arc point and a
+candidate is a slot, read from a slot row or computed from coordinates;
+that is the only step that differs between planes.  The greedy search, arc
+extension and oracle tests run it.
 """
 
 from __future__ import annotations
@@ -107,32 +107,35 @@ def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
 class Coverage:
     """Incremental secant coverage of a growing arc (single-owner).
 
-    Holds the covered-point mask and its popcount, the arc's points, and
-    ``uncov_on_line[l]``: the number of uncovered points on line l, kept
-    exact for every line through an arc point (entries for lines missing the
-    arc are unused).  For each arc point a it keeps a's pencil (the q+1
-    lines through a, in incident_ids order) and a slot row: for every point
-    x, the position of line ax within that pencil.  ``gains`` reads the
-    k(q+1) pencil counts once per call and gathers them at slots; ``add``
-    counts the tangents it decrements by slot.  The rows are kept while
-    q+2 of them (the most an arc can have) fit TABLE_BYTE_CAP; larger
-    planes compute the joins from coordinates instead.  Never share one
-    instance between concurrent workers.
+    Holds the covered mask and its popcount, the arc's points and, at
+    i*(q+1) + s, the uncovered count of the line at slot s of the i-th arc
+    point's pencil (incident_ids order).  A tangent lies in one pencil; a
+    secant reads 0 in both of its own.  Joins are slot positions: from a
+    slot row per arc point (for every x, the slot of line ax) while q+2 rows
+    fit TABLE_BYTE_CAP, else from coordinates via PlaneIndex.pencil_slots.
+    Never share one instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
         self.plane = plane
         self.covered = np.zeros(plane.n_points, dtype=bool)
         self.covered_count = 0
-        self.uncov_on_line = np.zeros(plane.n_lines, dtype=np.int64)
         self.arc_points: list[int] = []
         q, n = plane.q, plane.n_points
+        self._counts = np.zeros((q + 2) * (q + 1), dtype=np.int64)
+        self._base = np.arange(0, (q + 2) * (q + 1), q + 1)[:, None]
         self._rows = None
         if (q + 2) * n * np.dtype(plane._slot_dt).itemsize <= TABLE_BYTE_CAP:
             self._rows = np.empty((q + 2, n), dtype=plane._slot_dt)
-            # pencil of arc point i at [i*(q+1), (i+1)*(q+1))
-            self._pencils = np.empty((q + 2) * (q + 1), dtype=np.int64)
-            self._base = np.arange(0, (q + 2) * (q + 1), q + 1)[:, None]
+
+    @property
+    def uncov_on_line(self) -> np.ndarray:
+        """Counts by line id (0 off the arc's pencils), built on each read."""
+        pl = self.plane
+        out = np.zeros(pl.n_lines, dtype=np.int64)
+        pencils = pl.incident_ids(np.asarray(self.arc_points, dtype=np.int64))
+        out[pencils.ravel()] = self._counts[:pencils.size]
+        return out
 
     def is_complete(self) -> bool:
         return self.covered_count == self.plane.n_points
@@ -141,51 +144,45 @@ class Coverage:
         return np.flatnonzero(~self.covered)
 
     def _joins(self, ids: np.ndarray, group: slice = slice(None)):
-        """(g, m) joins of the arc points arc_points[group] to each of ids.
+        """(g, m) count positions of the joins of arc_points[group] to ids.
 
-        With slot rows, positions in the arc's pencils (_pencils maps them to
-        line ids); without, line ids from coordinates.  No id is an arc point.
+        Slots come from the slot rows, or from coordinates without them.
+        No id is an arc point of the group.
         """
-        if self._rows is None:
-            pl = self.plane
-            arc = pl.triples_of_ids(np.asarray(self.arc_points[group]))
-            return pl.join_ids(arc[:, None], pl.triples_of_ids(ids)[None, :])
         k = len(self.arc_points)
-        return self._rows[:k][group].take(ids, axis=1) + self._base[:k][group]
+        if self._rows is None:
+            pl, arc = self.plane, np.asarray(self.arc_points[group])[:, None]
+            lids = pl.join_ids(pl.triples_of_ids(arc), pl.triples_of_ids(ids)[None, :])
+            slots = pl.pencil_slots(arc, lids)
+        else:
+            slots = self._rows[:k][group].take(ids, axis=1)
+        return slots + self._base[:k][group]
 
     def add(self, pid: int) -> None:
         """Adjoin an uncovered point: cover its new secants, update counts."""
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
-        pl = self.plane
-        k = len(self.arc_points)
+        pl, q, k = self.plane, self.plane.q, len(self.arc_points)
+        pos = k * (q + 1)  # where pid's counts go
         self.covered[pid] = True
         self.covered_count += 1
-        if k:
-            # two new secants meet only at pid, so every other newly covered
-            # point lies on exactly one of them and appears once
-            sec = self._joins(np.array([pid]))[:, 0]
-            sec_pts = pl.incident_ids(sec if self._rows is None else self._pencils[sec])
-            newly = sec_pts[~self.covered[sec_pts]]
-            # every tangent through a freshly covered point loses it exactly
-            # once: those lines are the joins to the k existing arc points
-            dec = self._joins(newly).ravel()
-            if self._rows is None:
-                self.uncov_on_line -= np.bincount(dec, minlength=pl.n_lines)
-            else:  # slot positions, counted over the arc's k pencils
-                np.subtract.at(self.uncov_on_line, self._pencils[:k * (pl.q + 1)],
-                               np.bincount(dec, minlength=k * (pl.q + 1)))
-            self.covered[newly] = True
-            self.covered_count += len(newly)
-        # fresh counts for the whole pencil at pid (this also overwrites the
-        # entries of the new secants, which run through it and lost pid)
-        pencil = pl.incident_ids(pid)
-        pen_pts = pl.incident_ids(pencil)
-        self.uncov_on_line[pencil] = (pl.q + 1) - self.covered[pen_pts].sum(axis=1)
+        pen_pts = pl.incident_ids(pl.incident_ids(pid))
         if self._rows is not None:
             pl.slot_row(pid, pen_pts, self._rows[k])
-            self._pencils[k * (pl.q + 1):(k + 1) * (pl.q + 1)] = pencil
         self.arc_points.append(int(pid))
+        if k:
+            # the new secants, at the old arc points' slots in pid's pencil,
+            # meet only at pid: each newly covered point appears once
+            old = np.asarray(self.arc_points[:k])
+            sec_pts = pen_pts[self._joins(old, slice(k, k + 1))[0] - pos]
+            newly = sec_pts[~self.covered[sec_pts]]
+            self.covered[newly] = True
+            self.covered_count += len(newly)
+            # each newly covered point, pid too, leaves its k joins to the old
+            # arc points once; pid's own bring the new secants to 0
+            dec = self._joins(np.append(newly, pid), slice(k)).ravel()
+            self._counts[:pos] -= np.bincount(dec, minlength=pos)
+        self._counts[pos:pos + q + 1] = (q + 1) - self.covered[pen_pts].sum(axis=1)
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.
@@ -197,10 +194,8 @@ class Coverage:
         if self.covered[cand_ids].any():
             raise CoveredPoint("gains are defined for uncovered points only")
         k, m = len(self.arc_points), len(cand_ids)
-        counts = (self.uncov_on_line if self._rows is None else
-                  self.uncov_on_line[self._pencils[:k * (self.plane.q + 1)]])
         out = np.full(m, 1 - k, dtype=np.int64)
         step = max(1, _GAIN_CHUNK // max(m, 1))  # arc points per group
         for lo in range(0, k, step):
-            out += counts[self._joins(cand_ids, slice(lo, lo + step))].sum(0)
+            out += self._counts[self._joins(cand_ids, slice(lo, lo + step))].sum(0)
         return out

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .gf import factor_prime_power
 
@@ -46,6 +47,10 @@ DEFAULT_EXCLUDE = frozenset(
 
 class OutOfRange(ValueError):
     """q outside the range the tables or multipliers cover."""
+
+
+class TableError(ValueError):
+    """The size table cannot be read or parsed; the message names its path."""
 
 
 @dataclass(frozen=True)
@@ -84,26 +89,32 @@ class KnownTable:
 
 
 def load_table(path: str | None = None) -> KnownTable:
-    """Parse the size table: lines `q t2 exact(0|1) table(1-5)`, # comments."""
+    """Parse the size table: lines `q t2 exact(0|1) table(1-5)`, # comments.
+
+    Any fault in reading or parsing it raises TableError naming the path.
+    """
     if path is None:
         path = os.environ.get(TABLE_ENV_VAR)
-    if path is not None:
-        text = open(path, encoding="ascii").read()
-    else:
-        text = (resources.files("arcforge") / "data" / "known_sizes.txt"
-                ).read_text(encoding="ascii")
+    source = (resources.files("arcforge") / "data" / "known_sizes.txt"
+              if path is None else Path(path))
     rows: dict[int, TableRow] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 columns, got {len(parts)}")
-        q, t2, exact, tid = map(int, parts)
-        if q in rows:
-            raise ValueError(f"line {lineno}: duplicate q = {q}")
-        rows[q] = TableRow(q, t2, bool(exact), tid)
+    try:
+        text = source.read_text(encoding="ascii")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: expected 4 columns, got {len(parts)}")
+            q, t2, exact, tid = map(int, parts)
+            if q in rows:
+                raise ValueError(f"line {lineno}: duplicate q = {q}")
+            rows[q] = TableRow(q, t2, bool(exact), tid)
+        if not rows:
+            raise ValueError("no rows")
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise TableError(f"size table {source}: {exc}") from None
     return KnownTable(rows)
 
 

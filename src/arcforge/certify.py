@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .arc import Arc, verify_arc, verify_complete
-from .plane import build_plane
+from .plane import build_plane, check_point_cap
 
 
 class ParseError(ValueError):
@@ -91,8 +91,15 @@ def read_certificate(path) -> tuple[Arc, bool | None]:
 
     The arc is built on a plane over the claimant's own modulus.
     """
-    with open(path, encoding="ascii") as fin:
-        raw = fin.read().splitlines()
+    with open(path, "rb") as fin:
+        data = fin.read()
+    try:
+        raw = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        raise ParseError(f"non-ASCII byte 0x{data[at]:02x}",
+                         data.count(b"\n", 0, at) + 1,
+                         at - data.rfind(b"\n", 0, at)) from None
     if not raw or not raw[0].strip():
         raise ParseError("empty certificate", 1)
     header = _parse_ints(raw[0], 1)
@@ -105,6 +112,7 @@ def read_certificate(path) -> tuple[Arc, bool | None]:
     try:
         if p ** h != q:
             raise ValueError(f"q = {q} is not {p}^{h}")
+        check_point_cap(q)  # before the field's tables are built
         fld = gf.Field(p, h, modulus)
     except (gf.NotPrime, gf.DegreeZero, gf.OrderOverflow, ValueError) as exc:
         if "reducible" in str(exc):

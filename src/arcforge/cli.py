@@ -71,6 +71,8 @@ def cmd_search(args) -> int:
             time_budget=args.time_budget,
             target_size=args.target if args.target is not None else "auto")
         plane = greedy._plane_for(cfg)
+        if args.out == "":
+            raise ValueError("--out needs a file name")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ValueError(f"no directory to write {args.out} into")
     except (ValueError, MemoryBudgetExceeded) as exc:
@@ -128,6 +130,7 @@ def cmd_bounds(args) -> int:
     if factor_prime_power(q) is None:
         print(f"error: q = {q} is not a prime power", file=sys.stderr)
         return 2
+    row = bounds.default_table().get(q)
     print(f"q: {q}")
     print(f"lower_bound: {bounds.lower_bound(q):.3f}")
     try:
@@ -135,7 +138,6 @@ def cmd_bounds(args) -> int:
         print(f"a_q: {a:g}" if a is not None else "a_q: undefined")
     except bounds.OutOfRange:
         print("a_q: out of tabulated range")
-    row = bounds.default_table().get(q)
     if row is None:
         print("t2: not tabulated")
         return 0
@@ -175,9 +177,13 @@ def cmd_stats(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="") as out:
-            bounds.emit_stats_csv(out, table, c=args.c, q_min=args.qmin)
+    if args.csv is not None:
+        try:
+            with open(args.csv, "w", encoding="ascii", newline="") as out:
+                bounds.emit_stats_csv(out, table, c=args.c, q_min=args.qmin)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
     avg = sum(r.d075 for r in rows) / len(rows)
     print(f"rows: {len(rows)}")
@@ -199,7 +205,11 @@ def main(argv=None) -> int:
         "table": cmd_table,
         "stats": cmd_stats,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except bounds.TableError as exc:  # a bad ARCFORGE_TABLE_PATH file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

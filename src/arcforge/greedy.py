@@ -18,12 +18,13 @@ step draws exactly one integer to pick from a canonically ordered candidate
 pool, so searches are reproducible under any batching or parallel schedule.
 
 Scoring is exact but incremental.  A trial is the coverage kernel
-``arc.Coverage`` plus an RNG and a candidate policy: the kernel tracks how
-many uncovered points remain on every line through the current arc, so a
-candidate's gain is one plus the sum over the lines joining it to each arc
-point (all tangents, pairwise meeting only at the candidate) of their
-uncovered counts minus one.  The kernel finds those lines in a slot row it
-keeps for each arc point, so scoring is lookups, not field arithmetic.
+``arc.Coverage`` plus an RNG and a candidate policy: the kernel counts the
+uncovered points on every line through the current arc, one count per arc
+point and pencil slot, so a candidate's gain is one plus the sum over the
+lines joining it to each arc point (all tangents, pairwise meeting only at
+the candidate) of their uncovered counts minus one.  The kernel finds those
+lines' slots in a slot row it keeps for each arc point (computed from
+coordinates where the rows do not fit), so scoring is mostly lookups.
 There is one engine at every q and one table rule: a search on a plane
 small enough for the dense incidence tables (q <= 109, any candidate policy)
 builds them once, before the clock starts and before any worker process
@@ -41,7 +42,7 @@ import numpy as np
 from . import bounds
 from .arc import Arc, Coverage, NotAnArc, verify_arc, verify_complete
 from .gf import factor_prime_power, field_of_order
-from .plane import PlaneIndex, build_plane
+from .plane import PlaneIndex, build_plane, check_point_cap
 
 _BLOCK_TRIALS = 64      # trials per worker between merges and checks
 
@@ -60,10 +61,7 @@ def default_seed_cycle(q: int) -> tuple[int, ...]:
     rare minimal arcs; the cap keeps the schedule from diluting large-q
     searches, where the deep end is useless.
     """
-    try:
-        row = bounds.default_table().get(q)
-    except Exception:
-        row = None
+    row = bounds.default_table().get(q)
     top = row.t2 - 1 if row is not None else 12
     return tuple(range(5, max(min(top, 12), 5) + 1))
 
@@ -206,6 +204,7 @@ def complete_extension(plane: PlaneIndex, arc: Arc,
 def _plane_for(cfg: SearchConfig) -> PlaneIndex:
     if factor_prime_power(cfg.q) is None:
         raise ValueError(f"q = {cfg.q} is not a prime power")
+    check_point_cap(cfg.q)
     return build_plane(field_of_order(cfg.q))
 
 

@@ -52,19 +52,24 @@ class Line:
     coeffs: tuple[int, int, int]
 
 
+def check_point_cap(q: int) -> None:
+    """Raise MemoryBudgetExceeded if PG(2,q) has more than DEFAULT_POINT_CAP
+    points; it needs q alone, so callers check before building the field."""
+    n = q * q + q + 1
+    if n > DEFAULT_POINT_CAP:
+        raise MemoryBudgetExceeded(
+            f"PG(2,{q}) has {n} points, above the cap of {DEFAULT_POINT_CAP}")
+
+
 class PlaneIndex:
     """PG(2,q) over a given field: ids, incidence, pencils."""
 
     def __init__(self, field: Field):
         q = field.q
-        n = q * q + q + 1
-        if n > DEFAULT_POINT_CAP:
-            raise MemoryBudgetExceeded(
-                f"PG(2,{q}) has {n} points, above the cap of {DEFAULT_POINT_CAP}")
+        check_point_cap(q)
         self.field = field
         self.q = q
-        self.n_points = n
-        self.n_lines = n
+        self.n_points = self.n_lines = q * q + q + 1
         self._dt = field._idx_dtype
         # smallest dtype that holds the q+1 slots 0..q of a pencil
         self._slot_dt = np.uint8 if q < 256 else np.uint16
@@ -160,6 +165,18 @@ class PlaneIndex:
         out[flat, q] = 0
         return out.reshape(lids.shape + (q + 1,))
 
+    def pencil_slots(self, pids, line_ids):
+        """Slot of each line in incident_ids(pid) (broadcast; lines through pid).
+
+        Through a point with a2 != 0 line (1, y, z) is at slot y, else at z;
+        through (1, 0, 0) line (0, 1, t), id 1 + t, is at slot t, which the
+        z rule gives too; every other line is at slot q.
+        """
+        q, a2 = self.q, self.triples_of_ids(pids)[..., 2] != 0
+        r = np.asarray(line_ids) - (q + 1)  # y*q + z for the line (1, y, z)
+        y = r // q
+        return np.where(r >= np.where(a2, 0, -q), np.where(a2, y, r - y * q), q)
+
     # -- id queries, read from the dense tables once they are built ----------
 
     def incident_ids(self, ids):
@@ -174,13 +191,11 @@ class PlaneIndex:
         return self.points_on_lines_arr(ids)
 
     def slot_row(self, pid, pen_pts, out):
-        """Write into out[x] the slot (0..q) of the line through pid and x.
+        """Write into out[x] the slot (see pencil_slots) of the line pid x.
 
-        The slot of a line is its position in incident_ids(pid), and
-        pen_pts = incident_ids(incident_ids(pid)) lists the points of each
-        of those lines.  Copies the slot table's row once incidence_tables()
-        has built it, and scatters the slot numbers over pen_pts otherwise.
-        out[pid] is 0.
+        pen_pts = incident_ids(incident_ids(pid)).  Copies the slot table's
+        row once incidence_tables() has built it, and scatters the slot
+        numbers over pen_pts otherwise.  out[pid] is 0.
         """
         if self._slot is not None:
             out[:] = self._slot[pid]

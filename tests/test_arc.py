@@ -335,6 +335,15 @@ def check_against_scratch(cov, inc, cands):
     lines = np.flatnonzero(per_line >= 1)
     assert (cov.uncov_on_line[lines]
             == (inc[:, lines] & ~scratch[:, None]).sum(axis=0)).all()
+    # the kernel's own state: the q+1 slot counts of each arc point's pencil
+    pl = cov.plane
+    pencils = pl.incident_ids(np.asarray(pts, dtype=np.int64))
+    counts = cov._counts[:pencils.size].reshape(pencils.shape)
+    assert (counts == (inc[:, pencils] & ~scratch[:, None, None]).sum(axis=0)).all()
+    # secants read 0 in both of their arc points' pencils
+    secant = per_line[pencils] >= 2
+    assert (secant.sum(axis=1) == len(pts) - 1).all()
+    assert (counts[secant] == 0).all()
     for pid, gain in zip(cands, cov.gains(cands)):
         ext = scratch | inc[:, (per_line + inc[pid]) >= 2].any(axis=1)
         ext[pid] = True

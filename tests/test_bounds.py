@@ -56,6 +56,18 @@ def test_table_rejects_duplicates(tmp_path):
         load_table(str(path))
 
 
+@pytest.mark.parametrize("content", [
+    None, b"", b"2 4 1\n", b"2 4 x 1\n", b"2 4 1 1\n2 5 0 1\n", b"# \xe9\n2 4 1 1\n",
+], ids=["missing", "empty", "columns", "number", "duplicate", "non-ascii"])
+def test_table_faults_raise_one_type_naming_the_path(tmp_path, content):
+    path = tmp_path / "sizes.txt"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(bounds.TableError) as err:
+        load_table(str(path))
+    assert str(path) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # lower bound
 # ---------------------------------------------------------------------------

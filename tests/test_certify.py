@@ -140,6 +140,15 @@ def test_malformed_numbers(tmp_path):
     assert err.value.line == 2 and err.value.column == 5
 
 
+def test_non_ascii_byte(tmp_path):
+    path = tmp_path / "accent.arc"
+    path.write_bytes(b"2 2 1 0 1\n1 0 0\n0 1 \xe9\n")
+    with pytest.raises(ParseError) as err:
+        read_and_verify(path)
+    assert (err.value.line, err.value.column) == (3, 5)
+    assert "0xe9" in str(err.value)
+
+
 def test_reducible_modulus(tmp_path):
     path = tmp_path / "red.arc"
     path.write_text("4 2 2 1 0 1\n1 0 0\n")  # x^2 + 1 = (x+1)^2 over GF(2)

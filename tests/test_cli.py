@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import time
 
 import pytest
 
@@ -49,6 +50,48 @@ def test_search_plane_above_point_cap(capsys):
     code, out, err = run(capsys, "search", "--q", "10007", "--trials", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err
+
+
+def test_search_point_cap_checked_before_the_field(capsys):
+    # GF(2^20) would spend many seconds on its log tables before the plane
+    # could refuse it; the cap is decided from q alone
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "search", "--q", str(2 ** 20), "--trials", "1")
+    assert time.monotonic() - t0 < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+
+
+def test_search_empty_out(capsys):
+    code, out, err = run(capsys, "search", "--q", "7", "--trials", "5",
+                         "--out", "")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--out" in err
+
+
+def test_search_malformed_table(capsys, tmp_path, monkeypatch):
+    # an explicit target needs no table row, but the restart schedule does
+    path = tmp_path / "sizes.txt"
+    path.write_text("7 6 1\n")
+    monkeypatch.setenv("ARCFORGE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, "search", "--q", "7", "--trials", "5",
+                         "--target", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--q", "7", "--trials", "5", "--target", "6"],
+    ["bounds", "--q", "7"],
+    ["table", "--range", "2", "9"],
+    ["stats"],
+])
+def test_missing_table_file(capsys, tmp_path, monkeypatch, argv):
+    path = tmp_path / "absent.txt"
+    monkeypatch.setenv("ARCFORGE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_search_dead_budget(capsys):
@@ -155,6 +198,26 @@ def test_verify_plane_above_point_cap(capsys, tmp_path):
     assert err.startswith("error: ") and "cap" in err
 
 
+def test_verify_point_cap_checked_before_the_field(capsys, tmp_path):
+    # a valid GF(2^20) header: x^20 + x^3 + 1 is irreducible over GF(2)
+    path = tmp_path / "huge.arc"
+    modulus = [1, 0, 0, 1] + [0] * 16 + [1]
+    path.write_text(f"{2 ** 20} 2 20 {' '.join(map(str, modulus))}\n1 0 0\n")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.monotonic() - t0 < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cap" in err
+
+
+def test_verify_non_ascii(capsys, tmp_path):
+    path = tmp_path / "accent.arc"
+    path.write_bytes("2 2 1 0 1\n1 0 0\n0 1 0 # caf\u00e9\n".encode("utf-8"))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "non-ASCII" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.arc"))
     assert code == 2
@@ -207,6 +270,12 @@ def test_stats_csv(capsys, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("q,t2,")
     assert len(lines) > 1000
+
+
+def test_stats_csv_in_missing_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "stats", "--csv", str(tmp_path / "missing" / "x.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "missing" in err
 
 
 def test_stats_rejects_bad_exponent(capsys):

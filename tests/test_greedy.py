@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from arcforge import bounds
 from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.greedy import (
@@ -33,6 +34,14 @@ def test_seed_cycle_defaults():
     assert cyc == (5, 6)
     cfg = SearchConfig(q=11)
     assert [cfg.seed_size_for(i) for i in range(4)] == [5, 6, 5, 6]
+
+
+def test_seed_cycle_does_not_hide_a_bad_table(tmp_path, monkeypatch):
+    # an untabulated q is already None; a broken table is an error
+    assert default_seed_cycle(10007) == tuple(range(5, 13))
+    monkeypatch.setenv(bounds.TABLE_ENV_VAR, str(tmp_path / "absent.txt"))
+    with pytest.raises(bounds.TableError):
+        default_seed_cycle(11)
 
 
 def test_target_resolution():

@@ -100,6 +100,37 @@ def test_incidence_tables_match_computed(q):
         assert (pl.dot_triples(lines, tri[a]) == 0).all()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_pencil_slots_match_incident_order(q):
+    # exhaustively: the s-th line through every point sits at slot s
+    pl = plane_of(q)
+    ids = np.arange(pl.n_points)
+    pencils = pl.incident_ids(ids)
+    assert (pl.pencil_slots(ids[:, None], pencils) == np.arange(q + 1)).all()
+    # with the dense tables built, the same order
+    pl.incidence_tables()
+    assert (pl.incident_ids(ids) == pencils).all()
+
+
+@pytest.mark.parametrize("q", [243, 256, 257, 1024])
+def test_pencil_slots_sampled(q):
+    # (0,0,1), (0,1,0) and (1,0,0) are ids 0, 1 and q+1; each takes a
+    # different branch of the slot rule, so they are always in the sample
+    pl = plane_of(q)
+    rng = np.random.default_rng(q)
+    ids = np.concatenate([[0, 1, q + 1], rng.choice(pl.n_points, 40, replace=False)])
+    pencils = pl.incident_ids(ids)
+    assert (pl.pencil_slots(ids[:, None], pencils) == np.arange(q + 1)).all()
+    # a slot read off a join: the line through a and a random other point
+    others = rng.choice(pl.n_points, size=(len(ids), 50))
+    clash = others == ids[:, None]
+    others[clash] = (others[clash] + 1) % pl.n_points
+    tri = pl.triples_of_ids
+    lids = pl.join_ids(tri(ids)[:, None], tri(others))
+    slots = pl.pencil_slots(ids[:, None], lids)
+    assert (np.take_along_axis(pencils, slots, axis=1) == lids).all()
+
+
 def test_tables_kept_for_the_same_planes():
     # the slot table is n^2 bytes; the rule still admits exactly q <= 109
     qs = [q for q in range(2, 140) if factor_prime_power(q) is not None]
