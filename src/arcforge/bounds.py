@@ -107,7 +107,13 @@ def load_table(path: str | None = None) -> KnownTable:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: expected 4 columns, got {len(parts)}")
+            # plain ASCII digits only: int() would also take a sign or "4_0"
+            if not all(x.isascii() and x.isdigit() for x in parts):
+                raise ValueError(f"line {lineno}: expected 4 unsigned integers")
             q, t2, exact, tid = map(int, parts)
+            if exact not in (0, 1) or not 1 <= tid <= 5:
+                raise ValueError(f"line {lineno}: exact must be 0 or 1 and "
+                                 "table 1-5")
             if q in rows:
                 raise ValueError(f"line {lineno}: duplicate q = {q}")
             rows[q] = TableRow(q, t2, bool(exact), tid)

@@ -1,6 +1,6 @@
 """Portable arc certificates: write search results, verify third-party claims.
 
-Grammar (ASCII, LF endings):
+Grammar (ASCII, LF endings, numbers in plain decimal digits):
 
     line 1:        q p h c0 c1 ... ch      (modulus, base-p, constant first)
     lines 2..k+1:  x0 x1 x2                (element indices, any claimant
@@ -78,10 +78,10 @@ def _parse_ints(text: str, lineno: int) -> list[int]:
     pos = 0
     for token in text.split():
         pos = text.index(token, pos)
-        try:
-            vals.append(int(token))
-        except ValueError:
+        # plain ASCII digits only: int() would also take a sign or "0_1"
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(f"expected an integer, got {token!r}", lineno, pos + 1)
+        vals.append(int(token))
         pos += len(token)
     return vals
 

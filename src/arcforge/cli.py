@@ -35,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--target", type=int,
                    help="early-stop size (default: tabulated value for q)")
     s.add_argument("--out", help="write the best arc as a certificate file")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, capped at the CPUs this process "
+                        "may use")
     s.add_argument("--policy", choices=["exact", "sample"], default="exact")
     s.add_argument("--sample-size", type=int, default=4096)
     s.add_argument("--time-budget", type=float,
@@ -61,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_search(args) -> int:
-    if factor_prime_power(args.q) is None:
-        print(f"error: q = {args.q} is not a prime power", file=sys.stderr)
-        return 2
     try:
         cfg = greedy.SearchConfig(
             q=args.q, trials=args.trials, master_seed=args.seed,
@@ -79,7 +78,7 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = greedy.search(cfg, jobs=max(args.jobs, 1), plane=plane)
+        report = greedy.search(cfg, jobs=args.jobs, plane=plane)
     except greedy.BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

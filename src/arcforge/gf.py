@@ -1,19 +1,16 @@
 """Exact arithmetic in the Galois field GF(p^h).
 
-Elements are represented by their canonical integer index in [0, q),
-obtained by evaluating the coefficient vector of the element (little-endian,
-base p) at p.  For prime fields the index is just the residue.  Extension
-fields multiply through discrete-log tables built at construction time.
+Elements are canonical integer indices in [0, q): the little-endian base-p
+coefficient vector evaluated at p, and for prime fields the residue.
 
-All scalar operations take and return plain ints; the ``*_arr`` variants
-operate elementwise on numpy integer arrays and are what the plane and
-search layers use.  In an extension field the vectorized product is one
-lookup, ``exp[log[a] + log[b]]``: the log of 0 is a sentinel large enough
-that any sum containing it lands in the zero tail of a doubled antilog
-table, so neither a modulo nor a zero mask is needed.  The vectorized
-inverse is a lookup in a q-entry table.  The scalar operations keep the
-reduced-log arithmetic and are the reference the vectorized ones are
-tested against.
+The scalar operations take and return plain ints and are the reference
+the ``*_arr`` variants, which the plane and search layers use, are tested
+against.  Prime fields compute vector residues directly and characteristic
+2 adds by XOR.  Every other vector op is a lookup in O(q) tables built
+once at construction: ``exp[log[a] + log[b]]`` for products, Zech
+logarithms log(1 + g^d) for sums (Lidl & Niederreiter, *Finite Fields*,
+10.1), a product with -1 = p - 1 for negation, and one inverse table for
+every field (see ``Field._build_vector_tables``).
 """
 
 from __future__ import annotations
@@ -23,7 +20,9 @@ from functools import reduce
 
 import numpy as np
 
-ORDER_CAP = 2**31
+# the first power of two above 9109, the largest q of the size table and
+# of any plane under the point cap; every table index fits int32
+ORDER_CAP = 2**14
 
 
 class NotPrime(ValueError):
@@ -172,11 +171,12 @@ def least_irreducible(p: int, h: int) -> list[int]:
 class Field:
     """GF(p^h) with elements as canonical integer indices in [0, q).
 
-    Prime fields compute residues directly.  Extension fields build a
-    discrete-log table and its antilog at construction; the scalar ``mul``,
-    ``inv`` and ``pow`` reduce logs mod q - 1, while ``mul_arr`` and
-    ``inv_arr`` read O(q) tables derived from them (see the module
-    docstring).  Immutable after construction; safe to share across workers.
+    Every field builds a discrete-log table, its antilog and the O(q)
+    vector tables derived from them at construction.  Prime fields compute
+    residues directly, except in ``inv_arr``; in extension fields the
+    scalar ``mul``, ``inv`` and ``pow`` reduce logs mod q - 1, while the
+    ``*_arr`` ops read the vector tables (see the module docstring).
+    Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, p: int, h: int, modulus: list[int] | None = None):
@@ -201,13 +201,8 @@ class Field:
             if h > 1 and not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
-        self._idx_dtype = np.int32 if q < 46341 else np.int64
-        self._log = None
-        self._alog = None
-        self._inv_table = None
-        if h > 1:
-            self._build_log_tables()
-            self._build_vector_tables()
+        self._build_log_tables()
+        self._build_vector_tables()
 
     def __repr__(self):
         return f"Field(p={self.p}, h={self.h}, q={self.q})"
@@ -309,50 +304,25 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.h):
-            out = out + ((a + b) % p) * mult
-            a = a // p
-            b = b // p
-            mult *= p
-        return out
+        la, lb = self._log_z[a], self._log_z[b]
+        return self._exp_z[la + self._zech_z[lb - la + 2 * self.q]]
 
     def neg_arr(self, a):
         if self.h == 1:
             return (self.p - a) % self.p
         if self.p == 2:
             return a  # ops never mutate their inputs, aliasing is safe
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.h):
-            out = out + ((p - a % p) % p) * mult
-            a = a // p
-            mult *= p
-        return out
+        return self.mul_arr(a, self.p - 1)
 
     def sub_arr(self, a, b):
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
         if self.h == 1:
-            return np.asarray(a, dtype=self._idx_dtype) * b % self.p
+            return np.asarray(a, dtype=np.int32) * b % self.p
         return self._exp_z[self._log_z[a] + self._log_z[b]]
 
-    def _fermat_inv_arr(self, a):
-        out = np.ones_like(np.asarray(a, dtype=np.int64))
-        base = np.asarray(a, dtype=np.int64)
-        e = self.p - 2
-        while e:
-            if e & 1:
-                out = out * base % self.p
-            base = base * base % self.p
-            e >>= 1
-        return out.astype(self._idx_dtype)
-
     def inv_arr(self, a):
-        if self._inv_table is None:  # prime field; extensions build it eagerly
-            if self.p > 1 << 22:  # table would be large; 0 maps to 0 either way
-                return self._fermat_inv_arr(a)
-            self._inv_table = self._build_prime_inv_table()
         return self._inv_table[a]
 
     # -- table construction ------------------------------------------------
@@ -376,10 +346,10 @@ class Field:
     def _build_log_tables(self) -> None:
         q = self.q
         idx = lambda cs: reduce(lambda acc, c: acc * self.p + c, reversed(cs), 0)
-        for g in range(2, q):
+        for g in range(1, q):  # 1 generates GF(2)
             g_coeffs = self.coeffs(g)
-            log = np.zeros(q, dtype=np.int64)
-            alog = np.zeros(q - 1, dtype=self._idx_dtype)
+            log = np.zeros(q, dtype=np.int32)
+            alog = np.zeros(q - 1, dtype=np.int32)
             cur = tuple([1] + [0] * (self.h - 1))
             order = 0
             for k in range(q - 1):
@@ -397,28 +367,42 @@ class Field:
         raise AssertionError("no generator found")  # unreachable for true fields
 
     def _build_vector_tables(self) -> None:
-        """Zero-aware log/antilog and inverse tables for ``*_arr``.
+        """Zero-aware log/antilog, Zech and inverse tables for ``*_arr``.
 
         ``_log_z[0]`` is 2q, so a sum of two logs is below 2(q - 1) exactly
         when both operands are nonzero and at most 4q otherwise; ``_exp_z``
         repeats the antilog twice and is 0 from 2(q - 1) through 4q.
+
+        ``add_arr`` reads ``_zech_z`` at lb - la + 2q, which lies in one of
+        three bands:
+
+        - 0..q-2 when a = 0: entry i is i - 2q, so la + entry = lb;
+        - q+2..3q-2 when both are nonzero: entry i is log(1 + g^d) with
+          d = i - 2q mod (q - 1), or 2q where 1 + g^d = 0, so la + entry
+          is log(a + b) or lands in the zero tail;
+        - 3q+2..4q when b = 0: entry i is 0, so la + entry = la.
+
+        When a = b = 0, la + entry lands in the zero tail too.  Adding 1
+        changes only the constant digit, so the successor of an index x is
+        x - x%p + (x+1)%p.
         """
-        q = self.q
-        dt = np.int32 if 4 * q < 2**31 else np.int64
-        log_z = self._log.astype(dt)
+        q, p = self.q, self.p
+        log_z = self._log.copy()
         log_z[0] = 2 * q
-        exp_z = np.zeros(4 * q + 1, dtype=self._idx_dtype)
+        exp_z = np.zeros(4 * q + 1, dtype=np.int32)
         exp_z[:2 * (q - 1)] = np.tile(self._alog, 2)
+        succ = self._alog - self._alog % p + (self._alog + 1) % p
+        zech = log_z[succ]  # log(1 + g^d) for d = 0..q-2, 2q where it is 0
+        zech_z = np.zeros(4 * q + 1, dtype=np.int32)
+        zech_z[:q - 1] = np.arange(q - 1) - 2 * q
+        band = np.arange(q + 2, 3 * q - 1)
+        zech_z[band] = zech[(band - 2 * q) % (q - 1)]
         self._log_z = log_z
         self._exp_z = exp_z
+        self._zech_z = zech_z
         inv = self._alog[(q - 1 - self._log) % (q - 1)]
         inv[0] = 0  # never a valid lookup; callers mask zeros
         self._inv_table = inv
-
-    def _build_prime_inv_table(self):
-        out = self._fermat_inv_arr(np.arange(self.p, dtype=np.int64))
-        out[0] = 0  # never a valid lookup; normalization masks zeros
-        return out
 
 
 def field_of_order(q: int) -> Field:

@@ -34,6 +34,7 @@ scattering them, with the same results.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -244,6 +245,13 @@ def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
                       deadline=deadline)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def search(cfg: SearchConfig, jobs: int = 1,
            plane: PlaneIndex | None = None) -> SearchReport:
     """Run independent greedy trials and keep the smallest verified arc.
@@ -255,15 +263,17 @@ def search(cfg: SearchConfig, jobs: int = 1,
     (``has_tables``), its dense tables are built here once, and with
     ``jobs > 1`` every worker starts from them.  The tables change a
     search's speed, not its arcs.  ``time_budget`` and ``elapsed`` count
-    from after that build.
+    from after that build.  ``jobs`` is capped at the CPUs the process may
+    use, since the pool starts all its workers at once.
     """
     if plane is None:
         plane = _plane_for(cfg)
     if plane.has_tables():
         plane.incidence_tables()
+    jobs = min(max(jobs, 1), _usable_cpus())
     t0 = time.monotonic()
     target = cfg.resolved_target()
-    block = max(jobs, 1) * _BLOCK_TRIALS
+    block = jobs * _BLOCK_TRIALS
     deadline = None if cfg.time_budget is None else t0 + cfg.time_budget
 
     results: list[tuple[int, list[int]]] = []

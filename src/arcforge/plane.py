@@ -70,7 +70,7 @@ class PlaneIndex:
         self.field = field
         self.q = q
         self.n_points = self.n_lines = q * q + q + 1
-        self._dt = field._idx_dtype
+        self._dt = np.int32  # ids below q*q + q + 1 < 2**31 under the point cap
         # smallest dtype that holds the q+1 slots 0..q of a pencil
         self._slot_dt = np.uint8 if q < 256 else np.uint16
         self._slot = None

@@ -49,6 +49,17 @@ def test_table_env_override(tmp_path, monkeypatch):
     assert len(t) == 2 and t.t2(3) == 4
 
 
+@pytest.mark.parametrize("row", ["3 4_0 1 1", "3 +4 1 1", "3 4 -0 1",
+                                 "3 4 2 1", "3 4 1 0", "3 4 1 6"])
+def test_table_rejects_loose_rows(tmp_path, row):
+    # only plain digits, exact 0 or 1 and table ids 1-5
+    path = tmp_path / "sizes.txt"
+    path.write_text(f"2 4 1 1\n{row}\n")
+    with pytest.raises(bounds.TableError) as err:
+        load_table(str(path))
+    assert "line 2" in str(err.value)
+
+
 def test_table_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("2 4 1 1\n2 5 0 1\n")

@@ -140,6 +140,16 @@ def test_malformed_numbers(tmp_path):
     assert err.value.line == 2 and err.value.column == 5
 
 
+@pytest.mark.parametrize("token", ["+1", "0_1", "-0"])
+def test_only_plain_digits(tmp_path, token):
+    # int() would also take a sign and digit-group underscores
+    path = tmp_path / "loose.arc"
+    path.write_text(f"2 2 1 0 1\n1 0 0\n0 {token} 0\n")
+    with pytest.raises(ParseError) as err:
+        read_and_verify(path)
+    assert err.value.line == 3
+
+
 def test_non_ascii_byte(tmp_path):
     path = tmp_path / "accent.arc"
     path.write_bytes(b"2 2 1 0 1\n1 0 0\n0 1 \xe9\n")

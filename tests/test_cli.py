@@ -80,6 +80,16 @@ def test_search_malformed_table(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: ") and str(path) in err
 
 
+def test_bounds_grouped_table_number(capsys, tmp_path, monkeypatch):
+    # int() would read "4_0" as 40 and print t2: 40
+    path = tmp_path / "sizes.txt"
+    path.write_text("2 4 1 1\n3 4_0 1 1\n")
+    monkeypatch.setenv("ARCFORGE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, "bounds", "--q", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "line 2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--q", "7", "--trials", "5", "--target", "6"],
     ["bounds", "--q", "7"],
@@ -208,6 +218,15 @@ def test_verify_point_cap_checked_before_the_field(capsys, tmp_path):
     assert time.monotonic() - t0 < 2
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "cap" in err
+
+
+def test_verify_signed_and_grouped_numbers(capsys, tmp_path):
+    # int() would read "+1 0_1 1" as (1, 1, 1) and pass a 4-point arc
+    path = tmp_path / "loose.arc"
+    path.write_text("2 2 1 0 1\n1 0 0\n0 1 0\n0 0 1\n+1 0_1 1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 5")
 
 
 def test_verify_non_ascii(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -179,20 +180,27 @@ def test_coeff_roundtrip(p, h):
 
 
 def test_scalar_and_vector_ops_agree():
-    # the scalar ops reduce logs mod q - 1; the vector ops read the zero-aware
-    # tables, so this compares two independent paths.  Exhaustive up to
-    # q = 256, sampled rows at q = 1024.
-    for p, h in [(3, 2), (2, 3), (5, 1), (2, 4), (7, 2), (3, 5), (2, 8), (2, 10)]:
+    # the scalar ops keep the digit and reduced-log arithmetic; the vector
+    # ops read residues, XOR or the zero-aware log, Zech and inverse tables,
+    # so this compares two independent paths.  Exhaustive up to q = 256,
+    # sampled rows above; every row meets all of GF(q), so each a is also
+    # paired with -a, and the rows hold 0, 1 and -1 = p - 1.
+    for p, h in [(2, 1), (3, 1), (3, 2), (2, 3), (5, 1), (2, 4), (7, 2),
+                 (101, 1), (3, 5), (2, 8), (2, 10), (5, 4), (3, 6), (9109, 1)]:
         f = Field(p, h)
         q = f.q
-        rows = np.arange(q) if q <= 256 else np.r_[0, 1, 2, q - 1, 517]
+        rows = (np.arange(q) if q <= 256
+                else np.unique(np.r_[0, 1, 2, p - 1, q - 1, 517]))
         a = np.repeat(rows, q)
         b = np.tile(np.arange(q), len(rows))
         add_v = f.add_arr(a, b).tolist()
+        sub_v = f.sub_arr(a, b).tolist()
         mul_v = f.mul_arr(a, b).tolist()
-        for x, y, s, m in zip(a.tolist(), b.tolist(), add_v, mul_v):
+        for x, y, s, d, m in zip(a.tolist(), b.tolist(), add_v, sub_v, mul_v):
             assert s == f.add(x, y)
+            assert d == f.sub(x, y)
             assert m == f.mul(x, y)
+        assert f.neg_arr(np.arange(q)).tolist() == [f.neg(x) for x in range(q)]
         nz = np.arange(1, q)
         assert f.inv_arr(nz).tolist() == [f.inv(x) for x in range(1, q)]
         # zero on either side, and the (m,1) x (1,k) broadcast join_ids uses
@@ -202,6 +210,19 @@ def test_scalar_and_vector_ops_agree():
         table = np.asarray(mul_v).reshape(len(rows), q)
         assert (f.mul_arr(rows[:, None], np.arange(q)[None, :]) == table).all()
         assert (f.mul_arr(np.arange(q)[:, None], rows[None, :]) == table.T).all()
+        table = np.asarray(add_v).reshape(len(rows), q)
+        assert (f.add_arr(rows[:, None], np.arange(q)[None, :]) == table).all()
+        assert (f.add_arr(np.arange(q)[:, None], rows[None, :]) == table.T).all()
+
+
+def test_order_cap():
+    # every table index fits int32 up to the cap, and above it the field is
+    # refused before any table is built
+    assert Field(2, 14).q == gf.ORDER_CAP
+    t0 = time.perf_counter()
+    with pytest.raises(gf.OrderOverflow):
+        Field(2, 15)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_modulus_irreducibility_reverified():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from arcforge import bounds
+from arcforge import bounds, greedy
 from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.greedy import (
@@ -181,6 +181,36 @@ def test_search_jobs_respects_time_budget():
     assert rep.budget_exhausted
     assert 1 <= rep.trials_run < 64
     assert elapsed < budget + 2.0
+
+
+def test_search_jobs_capped_at_usable_cpus(monkeypatch):
+    # the pool forks every worker on its first submit, so --jobs 5000 must
+    # not ask for 5000; an inline stand-in records the request and starts
+    # no process
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(greedy, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(greedy, "_worker_plane", None)
+    cfg = SearchConfig(q=9, trials=300, master_seed=2, target_size=None)
+    par = search(cfg, jobs=5000)
+    assert asked == [3]
+    assert par.summary() == search(cfg, jobs=1).summary()
 
 
 def test_search_jobs_shares_the_tables():
