@@ -15,8 +15,8 @@ from .bounds import (
 )
 from .certify import VerifyReport, read_and_verify, write_certificate
 from .gf import Field, field_of_order
-from .greedy import SearchConfig, SearchReport, complete_extension, greedy_trial, search
-from .plane import PlaneIndex, build_plane, incidence, line_through, points_on_line
+from .greedy import SearchConfig, SearchReport, greedy_trial, search
+from .plane import PlaneIndex, build_plane
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,8 @@ __all__ = [
     "Arc", "BoundRecord", "Coverage", "Field", "KnownTable",
     "PlaneIndex", "SearchConfig", "SearchReport", "VerifyReport",
     "build_plane", "check_conjecture", "check_observations",
-    "check_theorem_bands", "complete_extension", "compute_record",
-    "default_table", "emit_stats_csv", "field_of_order", "greedy_trial",
-    "incidence", "line_through", "lower_bound", "multiplier_a_q",
-    "points_on_line", "read_and_verify", "search", "verify_arc",
+    "check_theorem_bands", "compute_record", "default_table",
+    "emit_stats_csv", "field_of_order", "greedy_trial", "lower_bound",
+    "multiplier_a_q", "read_and_verify", "search", "verify_arc",
     "verify_complete", "write_certificate",
 ]

@@ -12,8 +12,8 @@ at a time, keeps the covered mask and the uncovered count of every line
 through the arc, stored per arc point and pencil slot, and from those scores
 candidates by their exact coverage gain.  A join of an arc point and a
 candidate is a slot, read from a slot row or computed from coordinates;
-that is the only step that differs between planes.  The greedy search, arc
-extension and oracle tests run it.
+that is the only step that differs between planes.  The greedy search and
+the oracle tests run it.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -71,9 +71,6 @@ class KnownTable:
 
     def __len__(self):
         return len(self.rows)
-
-    def __contains__(self, q):
-        return q in self.rows
 
     def get(self, q: int) -> TableRow | None:
         return self.rows.get(q)
@@ -137,14 +134,13 @@ def default_table() -> KnownTable:
 # closed-form bounds and derived columns
 # ---------------------------------------------------------------------------
 
-def lower_bound(q: int, p: int | None = None, h: int | None = None) -> float:
+def lower_bound(q: int) -> float:
     """Size every complete arc strictly exceeds: sqrt(2q)+1, and
     sqrt(3q)+1/2 when the extension degree is at most 3."""
-    if p is None or h is None:
-        ph = factor_prime_power(q)
-        if ph is None:
-            raise ValueError(f"q = {q} is not a prime power")
-        p, h = ph
+    ph = factor_prime_power(q)
+    if ph is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    h = ph[1]
     lb = math.sqrt(2 * q) + 1
     if h <= 3:
         lb = max(lb, math.sqrt(3 * q) + 0.5)
@@ -243,14 +239,6 @@ def compute_record(q: int, t2: int, exact: bool = False) -> BoundRecord:
         delta=delta,
         p_pct=100.0 * delta / t2,
     )
-
-
-def record_for(q: int, table: KnownTable | None = None) -> BoundRecord:
-    table = table or default_table()
-    row = table.get(q)
-    if row is None:
-        raise OutOfRange(f"q = {q} not in the reference table")
-    return compute_record(row.q, row.t2, row.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +448,7 @@ def stats_rows(table: KnownTable | None = None, c: float = 0.75,
         row = table.get(q)
         rec = compute_record(row.q, row.t2, row.exact)
         if c != 0.75:
-            rec = BoundRecord(
-                q=rec.q, t2=rec.t2, exact=rec.exact, a_q=rec.a_q,
-                big_a=rec.big_a, big_b=rec.big_b, d075=d_value(q, row.t2, c),
-                t_hat=rec.t_hat, delta=rec.delta, p_pct=rec.p_pct)
+            rec = replace(rec, d075=d_value(q, row.t2, c))
         out.append(rec)
     return out
 

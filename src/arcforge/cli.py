@@ -117,7 +117,8 @@ def cmd_verify(args) -> int:
     if rep.claimed_complete and not rep.is_complete:
         print("claimed complete but is not", file=sys.stderr)
         failed = True
-    if (rep.claimed_complete or rep.is_complete) and rep.size <= lb:
+    if ((rep.claimed_complete or rep.is_complete)
+            and not bounds.exceeds_lower_bound(rep.q, rep.size)):
         print(f"size {rep.size} does not exceed the lower bound {lb:.3f}",
               file=sys.stderr)
         failed = True

@@ -16,7 +16,6 @@ every field (see ``Field._build_vector_tables``).
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -327,42 +326,33 @@ class Field:
 
     # -- table construction ------------------------------------------------
 
-    def _mul_coeffs(self, a: tuple, b: tuple) -> tuple:
-        p, h = self.p, self.h
-        prod = [0] * (2 * h - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce by the monic modulus
-        for d in range(2 * h - 2, h - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(h):
-                    prod[d - h + i] = (prod[d - h + i] - c * self.modulus[i]) % p
-        return tuple(prod[:h])
-
     def _build_log_tables(self) -> None:
-        q = self.q
-        idx = lambda cs: reduce(lambda acc, c: acc * self.p + c, reversed(cs), 0)
+        """Log and antilog tables of the first generator g in index order.
+
+        Multiplication by g is GF(p)-linear, so it maps every index at once:
+        row i of ``images`` holds the digits of g*x^i, and an index's digits
+        times ``images`` are the digits of its product with g.  The powers
+        of g are then a walk over integer indices.
+        """
+        p, h, q = self.p, self.h, self.q
+        weights = p ** np.arange(h)
+        digits = np.arange(q)[:, None] // weights % p
+        mod = list(self.modulus)
         for g in range(1, q):  # 1 generates GF(2)
-            g_coeffs = self.coeffs(g)
-            log = np.zeros(q, dtype=np.int32)
-            alog = np.zeros(q - 1, dtype=np.int32)
-            cur = tuple([1] + [0] * (self.h - 1))
-            order = 0
-            for k in range(q - 1):
-                ci = idx(cur)
-                alog[k] = ci
-                log[ci] = k
-                cur = self._mul_coeffs(cur, g_coeffs)
-                order = k + 1
-                if cur == tuple([1] + [0] * (self.h - 1)):
-                    break
-            if order == q - 1:
-                self._log = log
-                self._alog = alog
+            g_coeffs = list(self.coeffs(g))
+            images = np.zeros((h, h), dtype=np.int64)
+            for i in range(h):
+                row = _poly_mulmod(g_coeffs, [0] * i + [1], mod, p)
+                images[i, :len(row)] = row
+            times_g = (digits @ images % p @ weights).tolist()
+            alog, cur = [1], times_g[1]
+            while cur != 1:
+                alog.append(cur)
+                cur = times_g[cur]
+            if len(alog) == q - 1:
+                self._alog = np.array(alog, dtype=np.int32)
+                self._log = np.zeros(q, dtype=np.int32)
+                self._log[self._alog] = np.arange(q - 1)
                 return
         raise AssertionError("no generator found")  # unreachable for true fields
 

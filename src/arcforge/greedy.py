@@ -16,6 +16,9 @@ sweep both shallow and deep randomization.
 A trial's randomness is a pure function of (master_seed, trial_index): each
 step draws exactly one integer to pick from a canonically ordered candidate
 pool, so searches are reproducible under any batching or parallel schedule.
+A time budget is checked before every added point, so it holds inside a
+trial too: a trial it interrupts yields no arc, and a search that has
+finished none raises ``BudgetExhausted``.  Without a budget nothing changes.
 
 Scoring is exact but incremental.  A trial is the coverage kernel
 ``arc.Coverage`` plus an RNG and a candidate policy: the kernel counts the
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .arc import Arc, Coverage, NotAnArc, verify_arc, verify_complete
+from .arc import Arc, Coverage, verify_complete
 from .gf import factor_prime_power, field_of_order
 from .plane import PlaneIndex, build_plane, check_point_cap
 
@@ -169,8 +172,11 @@ class _Trial(Coverage):
             pool = cands[g == g.max()]
         return int(pool[self.rng.integers(len(pool))])
 
-    def run(self) -> list[int]:
+    def run(self, deadline: float | None) -> list[int] | None:
+        """The complete arc's points, or None once ``deadline`` has passed."""
         while not self.is_complete():
+            if deadline is not None and time.monotonic() > deadline:
+                return None
             self.add(self.select())
         return self.arc_points
 
@@ -180,26 +186,18 @@ class _Trial(Coverage):
 # ---------------------------------------------------------------------------
 
 def greedy_trial(plane: PlaneIndex, cfg: SearchConfig,
-                 rng: np.random.Generator, trial_index: int = 0) -> Arc:
-    """One randomized greedy run; the result is complete by construction."""
+                 rng: np.random.Generator, trial_index: int = 0,
+                 deadline: float | None = None) -> Arc | None:
+    """One randomized greedy run; the result is complete by construction.
+
+    The deadline (a ``time.monotonic()`` value) is checked before every
+    added point; a trial it interrupts yields None.
+    """
     trial = _Trial(plane, rng, policy=cfg.candidate_policy,
                    sample_size=cfg.sample_size,
                    seed_arc_size=cfg.seed_size_for(trial_index))
-    return Arc(plane, trial.run())
-
-
-def complete_extension(plane: PlaneIndex, arc: Arc,
-                       rng: np.random.Generator) -> Arc:
-    """Extend an arc by uniformly random uncovered points until complete."""
-    if not verify_arc(arc):
-        raise NotAnArc("cannot extend: input fails the arc property")
-    cov = Coverage(plane)
-    for pid in arc.points:
-        cov.add(pid)
-    while not cov.is_complete():
-        unc = cov.uncovered_ids()
-        cov.add(int(unc[rng.integers(len(unc))]))
-    return Arc(plane, cov.arc_points)
+    points = trial.run(deadline)
+    return None if points is None else Arc(plane, points)
 
 
 def _plane_for(cfg: SearchConfig) -> PlaneIndex:
@@ -214,17 +212,19 @@ def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
                deadline: float | None = None) -> list[tuple[int, list[int]]]:
     """(size, points) of the trials with the given indices, in index order.
 
-    ``stop_at``/``deadline`` end the loop after the trial that lands a
-    small-enough arc or runs out the clock; later indices are simply not
-    computed, which the first-hit merge rule tolerates.
+    ``stop_at`` ends the loop after the trial that lands a small-enough arc
+    and ``deadline`` ends it inside the trial that runs out the clock,
+    which yields no result; later indices are simply not computed, which
+    the first-hit merge rule tolerates.
     """
     results = []
     for i in indices:
-        arc = greedy_trial(plane, cfg, trial_rng(cfg.master_seed, i), i)
+        arc = greedy_trial(plane, cfg, trial_rng(cfg.master_seed, i), i,
+                           deadline)
+        if arc is None:
+            break
         results.append((len(arc.points), arc.points))
         if stop_at is not None and len(arc.points) <= stop_at:
-            break
-        if deadline is not None and time.monotonic() > deadline:
             break
     return results
 

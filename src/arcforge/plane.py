@@ -20,8 +20,6 @@ construction and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gf import Field
@@ -34,22 +32,6 @@ TABLE_BYTE_CAP = 300_000_000
 
 class MemoryBudgetExceeded(MemoryError):
     """The plane would have more points than DEFAULT_POINT_CAP."""
-
-
-class EqualPoints(ValueError):
-    """Two distinct points are required to span a line."""
-
-
-@dataclass(frozen=True)
-class Point:
-    id: int
-    coords: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class Line:
-    id: int
-    coeffs: tuple[int, int, int]
 
 
 def check_point_cap(q: int) -> None:
@@ -108,6 +90,15 @@ class PlaneIndex:
         lead = np.where(x0 != 0, x0, np.where(x1 != 0, x1, t[..., 2]))
         scale = f.inv_arr(np.where(lead != 0, lead, 1))
         return f.mul_arr(t, scale[..., None])
+
+    def point_id(self, coords) -> int:
+        """Id of a (not necessarily normalized) nonzero coordinate triple."""
+        t = np.asarray(coords, dtype=self._dt)
+        if t.shape != (3,) or t.min() < 0 or t.max() >= self.q:
+            raise ValueError(f"need three element indices in [0, {self.q})")
+        if not t.any():
+            raise ValueError("zero triple is not a projective point")
+        return int(self.ids_of_triples(self.normalize_triples(t)))
 
     # -- algebra -------------------------------------------------------------
 
@@ -244,50 +235,8 @@ class PlaneIndex:
             self._line_points = lpts
         return self._slot, self._line_points
 
-    # -- scalar views ---------------------------------------------------------
-
-    def point(self, pid: int) -> Point:
-        if not 0 <= pid < self.n_points:
-            raise ValueError(f"point id {pid} out of range")
-        return Point(pid, tuple(int(c) for c in self.triples_of_ids(pid)))
-
-    def line(self, lid: int) -> Line:
-        if not 0 <= lid < self.n_lines:
-            raise ValueError(f"line id {lid} out of range")
-        return Line(lid, tuple(int(c) for c in self.triples_of_ids(lid)))
-
-    def point_id(self, coords) -> int:
-        """Id of a (not necessarily normalized) nonzero coordinate triple."""
-        t = np.asarray(coords, dtype=self._dt)
-        if t.shape != (3,) or t.min() < 0 or t.max() >= self.q:
-            raise ValueError(f"need three element indices in [0, {self.q})")
-        if not t.any():
-            raise ValueError("zero triple is not a projective point")
-        return int(self.ids_of_triples(self.normalize_triples(t)))
-
 
 def build_plane(field: Field) -> PlaneIndex:
     """Index PG(2,q) for the given field."""
     return PlaneIndex(field)
 
-
-def line_through(plane: PlaneIndex, p1: Point, p2: Point) -> Line:
-    """The unique line through two distinct points."""
-    if p1.id == p2.id:
-        raise EqualPoints(f"point {p1.id} given twice")
-    a = np.asarray(p1.coords, dtype=plane._dt)
-    b = np.asarray(p2.coords, dtype=plane._dt)
-    return plane.line(int(plane.join_ids(a, b)))
-
-
-def incidence(plane: PlaneIndex, p: Point, l: Line) -> bool:
-    """True iff the point lies on the line."""
-    a = np.asarray(p.coords, dtype=plane._dt)
-    b = np.asarray(l.coeffs, dtype=plane._dt)
-    return int(plane.dot_triples(a, b)) == 0
-
-
-def points_on_line(plane: PlaneIndex, l: Line) -> list[int]:
-    """Sorted ids of the q+1 points on a line."""
-    ids = plane.points_on_lines_arr(np.asarray([l.id]))[0]
-    return sorted(int(i) for i in ids)

@@ -11,7 +11,7 @@ from arcforge.bounds import (
     DEFAULT_EXCLUDE, OutOfRange, Violation, a_q_column, average_d,
     b_q_hundredths, check_conjecture, check_observations, check_theorem_bands,
     compute_record, default_table, emit_stats_csv, exceeds_lower_bound,
-    load_table, lower_bound, multiplier_a_q, record_for, stats_rows,
+    load_table, lower_bound, multiplier_a_q, stats_rows,
 )
 
 TABLE_SHA256 = "480458b601af03ff68907223e588e005f95bbc1ac383dd8a655aff8dfe8b9772"
@@ -269,8 +269,3 @@ def test_csv_emission(table):
     assert tail and tail[0].split(",")[2] == ""
     first = lines[1].split(",")
     assert first[0] == "173" and first[3] == "3.27"
-
-
-def test_record_for_unknown_q(table):
-    with pytest.raises(OutOfRange):
-        record_for(6, table)

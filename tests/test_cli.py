@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import arcforge
 from arcforge import greedy
 from arcforge.cli import _build_parser, main
 
@@ -147,6 +148,31 @@ def test_search_surface_is_pinned():
     assert flags == ["-h", "--help", "--q", "--trials", "--seed", "--target",
                      "--out", "--jobs", "--policy", "--sample-size",
                      "--time-budget"]
+
+
+def test_public_surface_is_pinned():
+    # a new export must be added here on purpose, like a new flag above
+    assert sorted(arcforge.__all__) == [
+        "Arc", "BoundRecord", "Coverage", "Field", "KnownTable",
+        "PlaneIndex", "SearchConfig", "SearchReport", "VerifyReport",
+        "build_plane", "check_conjecture", "check_observations",
+        "check_theorem_bands", "compute_record", "default_table",
+        "emit_stats_csv", "field_of_order", "greedy_trial", "lower_bound",
+        "multiplier_a_q", "read_and_verify", "search", "verify_arc",
+        "verify_complete", "write_certificate"]
+    for name in arcforge.__all__:
+        assert getattr(arcforge, name) is not None
+
+
+def test_time_budget_holds_inside_a_trial(capsys):
+    # one sampled q = 1024 trial takes seconds; the deadline is checked at
+    # every added point, so no trial finishes and the search exits 1
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "search", "--q", "1024", "--policy", "sample",
+                         "--trials", "5", "--seed", "1", "--time-budget", "0.5")
+    assert time.monotonic() - t0 < 2.5
+    assert code == 1 and out == ""
+    assert "time budget expired" in err
 
 
 def test_search_writes_certificate(capsys, tmp_path):

@@ -113,6 +113,21 @@ def test_scalar_examples():
     assert f4.coeffs(f4.mul(x, x)) == tuple(expect)
     assert f4.mul(x, x) == x1
 
+    # sampled products: schoolbook product of the coefficient vectors,
+    # reduced by long division, against the log tables
+    for p, h in [(3, 2), (5, 4), (2, 10), (3, 8), (2, 14)]:
+        f = Field(p, h)
+        pairs = np.random.default_rng(p ** h).integers(0, f.q, size=(200, 2))
+        for a, b in pairs.tolist():
+            prod = [0] * (2 * h - 1)
+            for i, ai in enumerate(f.coeffs(a)):
+                for j, bj in enumerate(f.coeffs(b)):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+            expect = poly_division_reduce(prod, list(f.modulus), p)
+            assert f.coeffs(f.mul(a, b)) == tuple(expect)
+        assert (f.mul_arr(pairs[:, 0], pairs[:, 1])
+                == [f.mul(a, b) for a, b in pairs.tolist()]).all()
+
 
 def test_gf9_inverses_exhaustive():
     f = Field(3, 2)

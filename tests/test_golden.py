@@ -45,6 +45,13 @@ CASES = [
         "histogram 10:1 11:1\n",
         "ea4d1a2bbe1c85bb9ac3ae986ca557685fa1f7272e60c99af0b1670613517f3b",
         id="q17-sample"),
+    pytest.param(  # joins computed from coordinates: no slot rows above 529
+        ["--q", "541", "--policy", "sample", "--sample-size", "64",
+         "--trials", "1", "--seed", "1"],
+        "q 541\nbest_size 95\nbest_trial 0\ntrials_run 1\nseed 1\n"
+        "histogram 95:1\n",
+        "cb606d7bf4b689f65a58a6d150c1d38a956dc73371f8fbd05af7b9937a6797d9",
+        id="q541-computed"),
 ]
 
 

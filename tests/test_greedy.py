@@ -1,15 +1,14 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
 from arcforge import bounds, greedy
-from arcforge.arc import Arc, Coverage, verify_arc, verify_complete
+from arcforge.arc import Coverage, verify_arc, verify_complete
 from arcforge.gf import field_of_order
 from arcforge.greedy import (
-    SearchConfig, SearchReport, _plane_for, complete_extension,
-    default_seed_cycle, greedy_trial, search, trial_rng,
+    SearchConfig, _plane_for, default_seed_cycle, greedy_trial, search,
+    trial_rng,
 )
 from arcforge.plane import build_plane
 
@@ -263,45 +262,3 @@ def test_search_time_budget_excludes_table_build():
                               time_budget=0.5), plane=plane_of(101))
     assert rep.elapsed < 1.0
     assert rep.budget_exhausted
-
-
-# ---------------------------------------------------------------------------
-# complete_extension
-# ---------------------------------------------------------------------------
-
-def test_extension_of_complete_arc_unchanged():
-    pl = plane_of(5)
-    f = pl.field
-    conic = [pl.point_id([1, t, f.mul(t, t)]) for t in range(5)]
-    conic.append(pl.point_id([0, 0, 1]))
-    arc = Arc(pl, conic)
-    out = complete_extension(pl, arc, trial_rng(0, 0))
-    assert out.points == arc.points
-
-
-def test_extension_from_empty():
-    pl = plane_of(2)
-    out = complete_extension(pl, Arc(pl), trial_rng(1, 0))
-    assert len(out.points) >= 4
-    ok, _ = verify_complete(out)
-    assert ok
-
-
-def test_extension_rejects_non_arc():
-    pl = plane_of(2)
-    bad = Arc(pl)
-    for c in ([1, 0, 0], [0, 1, 0], [1, 1, 0]):  # collinear
-        bad.points.append(pl.point_id(c))
-        bad.in_arc[pl.point_id(c)] = True
-    from arcforge.arc import NotAnArc
-    with pytest.raises(NotAnArc):
-        complete_extension(pl, bad, trial_rng(0, 0))
-
-
-def test_extension_contains_input():
-    pl = plane_of(7)
-    base = Arc(pl, [0, 1])
-    out = complete_extension(pl, base, trial_rng(9, 0))
-    assert out.points[:2] == [0, 1]
-    ok, _ = verify_complete(out)
-    assert ok

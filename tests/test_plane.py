@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from arcforge.gf import Field, factor_prime_power, field_of_order
-from arcforge.plane import (
-    EqualPoints, MemoryBudgetExceeded, build_plane, incidence, line_through,
-    points_on_line,
-)
+from arcforge.plane import MemoryBudgetExceeded, build_plane
 
 
 def plane_of(q):
@@ -35,13 +32,13 @@ def test_point_and_line_counts(q):
 
 def test_fano_plane_examples():
     pl = plane_of(2)
-    p100 = pl.point(pl.point_id([1, 0, 0]))
-    p010 = pl.point(pl.point_id([0, 1, 0]))
-    l = line_through(pl, p100, p010)
-    assert l.coeffs == (0, 0, 1)
-    assert incidence(pl, pl.point(pl.point_id([1, 1, 0])), l)
-    assert not incidence(pl, pl.point(pl.point_id([1, 1, 1])), l)
-    on = points_on_line(pl, l)
+    tri = pl.triples_of_ids
+    p100, p010 = pl.point_id([1, 0, 0]), pl.point_id([0, 1, 0])
+    lid = int(pl.join_ids(tri(p100), tri(p010)))
+    assert tuple(tri(lid)) == (0, 0, 1)
+    assert pl.dot_triples(tri(pl.point_id([1, 1, 0])), tri(lid)) == 0
+    assert pl.dot_triples(tri(pl.point_id([1, 1, 1])), tri(lid)) != 0
+    on = sorted(pl.points_on_lines_arr(lid).tolist())
     expect = sorted(pl.point_id(c) for c in ([1, 0, 0], [0, 1, 0], [1, 1, 0]))
     assert on == expect
 
@@ -138,32 +135,34 @@ def test_tables_kept_for_the_same_planes():
     assert kept == [q for q in qs if q <= 109]
 
 
+def incidence_matrix(pl):
+    """on[x, l]: point x lies on line l, by the raw dot product alone."""
+    tri = pl.triples_of_ids(np.arange(pl.n_points))
+    return tri, pl.dot_triples(tri[:, None, :], tri[None, :, :]) == 0
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_line_through_matches_scalar_scan(q):
     pl = plane_of(q)
+    tri, on = incidence_matrix(pl)
     for i, j in itertools.combinations(range(pl.n_points), 2):
-        hits = [l for l in range(pl.n_lines)
-                if incidence(pl, pl.point(i), pl.line(l))
-                and incidence(pl, pl.point(j), pl.line(l))]
-        assert hits == [line_through(pl, pl.point(i), pl.point(j)).id]
+        hits = np.flatnonzero(on[i] & on[j]).tolist()
+        assert hits == [int(pl.join_ids(tri[i], tri[j]))]
+        points = sorted(pl.points_on_lines_arr(hits[0]).tolist())
+        assert points == np.flatnonzero(on[:, hits[0]]).tolist()
 
 
 def test_line_through_symmetric_and_incident():
     pl = plane_of(7)
+    tri = pl.triples_of_ids
     rng = np.random.default_rng(7)
     for _ in range(100):
         i, j = rng.choice(pl.n_points, size=2, replace=False)
-        p1, p2 = pl.point(int(i)), pl.point(int(j))
-        l = line_through(pl, p1, p2)
-        assert l == line_through(pl, p2, p1)
-        assert incidence(pl, p1, l) and incidence(pl, p2, l)
-
-
-def test_line_through_equal_points_rejected():
-    pl = plane_of(3)
-    p = pl.point(5)
-    with pytest.raises(EqualPoints):
-        line_through(pl, p, p)
+        lid = int(pl.join_ids(tri(i), tri(j)))
+        assert lid == int(pl.join_ids(tri(j), tri(i)))
+        assert pl.dot_triples(tri(i), tri(lid)) == 0
+        assert pl.dot_triples(tri(j), tri(lid)) == 0
+        assert {int(i), int(j)} <= set(pl.points_on_lines_arr(lid).tolist())
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 13])
@@ -211,12 +210,16 @@ def test_line_point_lists(q):
 @pytest.mark.parametrize("q", [3, 7, 9, 16])
 def test_two_lines_meet_in_one_point(q):
     pl = plane_of(q)
+    tri, on = incidence_matrix(pl)
     rng = np.random.default_rng(q)
     for _ in range(200):
         l1, l2 = rng.choice(pl.n_lines, size=2, replace=False)
-        pts1 = set(points_on_line(pl, pl.line(int(l1))))
-        pts2 = set(points_on_line(pl, pl.line(int(l2))))
-        assert len(pts1 & pts2) == 1
+        pts1 = set(pl.points_on_lines_arr(l1).tolist())
+        pts2 = set(pl.points_on_lines_arr(l2).tolist())
+        # by self-duality join_ids of two lines is their meet
+        meet = int(pl.join_ids(tri[l1], tri[l2]))
+        assert pts1 & pts2 == {meet}
+        assert np.flatnonzero(on[:, l1] & on[:, l2]).tolist() == [meet]
 
 
 def test_normalization_idempotent():
