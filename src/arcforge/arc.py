@@ -6,14 +6,14 @@ line through two arc points); the arc is complete exactly when every point
 is covered, since an uncovered point could always be adjoined.
 
 ``verify_arc`` / ``verify_complete`` recompute everything from scratch and
-serve as the independent verifiers; they never read the plane's tables.
-``Coverage`` is the one incremental kernel: it adjoins uncovered points one
-at a time, keeps the covered mask and the uncovered count of every line
-through the arc, stored per arc point and pencil slot, and from those scores
-candidates by their exact coverage gain.  A join of an arc point and a
-candidate is a slot, read from a slot row or computed from coordinates;
-that is the only step that differs between planes.  The greedy search and
-the oracle tests run it.
+serve as the independent verifiers; they never read the plane's tables, and
+only they call ``join_ids``.  ``Coverage`` is the one incremental kernel: it
+adjoins uncovered points one at a time, keeps the covered mask and the
+uncovered count of every line through the arc, stored per arc point and
+pencil slot, and from those scores candidates by their exact coverage gain.
+A join of an arc point and a candidate is a slot, read from a slot row or
+computed from coordinates by ``join_slots``; that is the only step that
+differs between planes.  The greedy search and the oracle tests run it.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Coverage:
     point's pencil (incident_ids order).  A tangent lies in one pencil; a
     secant reads 0 in both of its own.  Joins are slot positions: from a
     slot row per arc point (for every x, the slot of line ax) while q+2 rows
-    fit TABLE_BYTE_CAP, else from coordinates via PlaneIndex.pencil_slots.
+    fit TABLE_BYTE_CAP, else from coordinates via PlaneIndex.join_slots.
     Never share one instance between concurrent workers.
     """
 
@@ -146,14 +146,12 @@ class Coverage:
     def _joins(self, ids: np.ndarray, group: slice = slice(None)):
         """(g, m) count positions of the joins of arc_points[group] to ids.
 
-        Slots come from the slot rows, or from coordinates without them.
-        No id is an arc point of the group.
+        Slots come from the slot rows, else from join_slots; no id is in group.
         """
         k = len(self.arc_points)
         if self._rows is None:
-            pl, arc = self.plane, np.asarray(self.arc_points[group])[:, None]
-            lids = pl.join_ids(pl.triples_of_ids(arc), pl.triples_of_ids(ids)[None, :])
-            slots = pl.pencil_slots(arc, lids)
+            arc = np.asarray(self.arc_points[group])[:, None]
+            slots = self.plane.join_slots(arc, ids[None, :])
         else:
             slots = self._rows[:k][group].take(ids, axis=1)
         return slots + self._base[:k][group]

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import bounds, certify, greedy
+from .arc import Arc
 from .gf import factor_prime_power
 from .plane import MemoryBudgetExceeded
 
@@ -86,7 +87,7 @@ def cmd_search(args) -> int:
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
     if args.out:
         try:
-            certify.write_certificate(report.best_arc(plane), args.out,
+            certify.write_certificate(Arc(plane, report.best_points), args.out,
                                       complete=True)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

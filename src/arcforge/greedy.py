@@ -132,12 +132,6 @@ class SearchReport:
             lines.append("budget_exhausted 1")
         return "\n".join(lines) + "\n"
 
-    def best_arc(self, plane: PlaneIndex) -> Arc:
-        """Materialize the winning arc on a plane for this q."""
-        if plane.q != self.q:
-            raise ValueError(f"plane is over q={plane.q}, report is for q={self.q}")
-        return Arc(plane, self.best_points)
-
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based per-trial stream: identical under any scheduling."""

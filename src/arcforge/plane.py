@@ -156,17 +156,24 @@ class PlaneIndex:
         out[flat, q] = 0
         return out.reshape(lids.shape + (q + 1,))
 
-    def pencil_slots(self, pids, line_ids):
-        """Slot of each line in incident_ids(pid) (broadcast; lines through pid).
+    def join_slots(self, pids, ids):
+        """Slot in incident_ids(pid) of the line joining pid to id (broadcast).
 
         Through a point with a2 != 0 line (1, y, z) is at slot y, else at z;
-        through (1, 0, 0) line (0, 1, t), id 1 + t, is at slot t, which the
-        z rule gives too; every other line is at slot q.
+        through (1, 0, 0) line (0, 1, t) is at slot t; other lines at slot q.
+        With l = a x b the slot is num / den: num is l1 if a2 != 0, else l2;
+        den is l0, or l1 at (1, 0, 0), where every l0 is 0; den = 0 gives q.
+        As a0, b0 are 0 or 1, only l0 takes field products.  pid != id.
         """
-        q, a2 = self.q, self.triples_of_ids(pids)[..., 2] != 0
-        r = np.asarray(line_ids) - (q + 1)  # y*q + z for the line (1, y, z)
-        y = r // q
-        return np.where(r >= np.where(a2, 0, -q), np.where(a2, y, r - y * q), q)
+        f, q = self.field, self.q
+        a0, a1, a2 = np.moveaxis(self.triples_of_ids(pids), -1, 0)
+        b0, b1, b2 = np.moveaxis(self.triples_of_ids(ids), -1, 0)
+        l0 = f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1))
+        l1 = f.sub_arr(np.where(b0 == 1, a2, 0), np.where(a0 == 1, b2, 0))
+        l2 = f.sub_arr(np.where(a0 == 1, b1, 0), np.where(b0 == 1, a1, 0))
+        num = np.where(a2 != 0, l1, l2)
+        den = np.where(np.asarray(pids) == q + 1, l1, l0)
+        return np.where(den != 0, f.mul_arr(num, f.inv_arr(den)), q)
 
     # -- id queries, read from the dense tables once they are built ----------
 
@@ -182,7 +189,7 @@ class PlaneIndex:
         return self.points_on_lines_arr(ids)
 
     def slot_row(self, pid, pen_pts, out):
-        """Write into out[x] the slot (see pencil_slots) of the line pid x.
+        """Write into out[x] the slot (see join_slots) of the line pid x.
 
         pen_pts = incident_ids(incident_ids(pid)).  Copies the slot table's
         row once incidence_tables() has built it, and scatters the slot

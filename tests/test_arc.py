@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from arcforge import arc as arc_module
 from arcforge.arc import Arc, Coverage, CoveredPoint, NotAnArc, verify_arc, verify_complete
 from arcforge.gf import field_of_order
-from arcforge.plane import build_plane
+from arcforge.greedy import SearchConfig, greedy_trial, trial_rng
+from arcforge.plane import PlaneIndex, build_plane
 
 
 def plane_of(q):
@@ -167,6 +168,20 @@ def test_verify_complete_matches_oracle(q):
         for extra in range(pl.n_points):
             if extra not in pts:
                 assert not oracle_is_arc(pl, pts + [extra])
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])
+def test_search_joins_never_call_join_ids(q, monkeypatch):
+    # with computed joins the kernel finds slots by join_slots alone, so the
+    # verifier's join_ids shares no code path with the search it checks
+    pl = plane_of(q)
+    monkeypatch.setattr(arc_module, "TABLE_BYTE_CAP", 0)
+    with monkeypatch.context() as m:
+        def refuse(*args):
+            raise AssertionError("the search called join_ids")
+        m.setattr(PlaneIndex, "join_ids", refuse)
+        arc = greedy_trial(pl, SearchConfig(q=q), trial_rng(1, 0))
+    assert verify_complete(arc) == (True, [])
 
 
 def test_verifier_ignores_incidence_tables():

@@ -52,6 +52,13 @@ CASES = [
         "histogram 95:1\n",
         "cb606d7bf4b689f65a58a6d150c1d38a956dc73371f8fbd05af7b9937a6797d9",
         id="q541-computed"),
+    pytest.param(  # odd-characteristic extension with computed joins
+        ["--q", "625", "--policy", "sample", "--sample-size", "64",
+         "--trials", "1", "--seed", "1"],
+        "q 625\nbest_size 104\nbest_trial 0\ntrials_run 1\nseed 1\n"
+        "histogram 104:1\n",
+        "66467967c6ef81497513a0b0431f4a0bbf048187562eb6efbc4765335f50bd68",
+        id="q625-computed"),
 ]
 
 

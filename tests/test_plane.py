@@ -97,35 +97,47 @@ def test_incidence_tables_match_computed(q):
         assert (pl.dot_triples(lines, tri[a]) == 0).all()
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
-def test_pencil_slots_match_incident_order(q):
-    # exhaustively: the s-th line through every point sits at slot s
+def check_join_slots(pl, a, x):
+    """The line at join_slots(a, x) in a's pencil holds a and x, by raw
+    incidence alone: join_ids is not the oracle.  a is (g, 1), x (g, m)."""
+    lines = np.take_along_axis(pl.incident_ids(a[:, 0]), pl.join_slots(a, x), axis=1)
+    lines = pl.triples_of_ids(lines)
+    assert (pl.dot_triples(lines, pl.triples_of_ids(a)) == 0).all()
+    assert (pl.dot_triples(lines, pl.triples_of_ids(x)) == 0).all()
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 28) if factor_prime_power(q) is not None] + [49])
+def test_join_slots_match_incident_order(q):
+    # exhaustively: every point a against every other point x
     pl = plane_of(q)
-    ids = np.arange(pl.n_points)
-    pencils = pl.incident_ids(ids)
-    assert (pl.pencil_slots(ids[:, None], pencils) == np.arange(q + 1)).all()
-    # with the dense tables built, the same order
-    pl.incidence_tables()
-    assert (pl.incident_ids(ids) == pencils).all()
+    n = pl.n_points
+    ids = np.arange(n)
+    for lo in range(0, n, 256):
+        a = ids[lo:lo + 256, None]
+        x = (a + np.arange(1, n)) % n  # every x != a
+        check_join_slots(pl, a, x)
+    # with the dense tables built, the pencils keep their order
+    if pl.has_tables():
+        pencils = pl.incident_ids(ids)
+        pl.incidence_tables()
+        assert (pl.incident_ids(ids) == pencils).all()
 
 
-@pytest.mark.parametrize("q", [243, 256, 257, 1024])
-def test_pencil_slots_sampled(q):
+@pytest.mark.parametrize("q", [243, 256, 257, 541, 625, 729, 1024, 2048])
+def test_join_slots_sampled(q):
     # (0,0,1), (0,1,0) and (1,0,0) are ids 0, 1 and q+1; each takes a
-    # different branch of the slot rule, so they are always in the sample
+    # different branch of the slot rule, so they are always in the sample,
+    # as arc point and as the other point
     pl = plane_of(q)
     rng = np.random.default_rng(q)
-    ids = np.concatenate([[0, 1, q + 1], rng.choice(pl.n_points, 40, replace=False)])
-    pencils = pl.incident_ids(ids)
-    assert (pl.pencil_slots(ids[:, None], pencils) == np.arange(q + 1)).all()
-    # a slot read off a join: the line through a and a random other point
-    others = rng.choice(pl.n_points, size=(len(ids), 50))
+    corners = np.array([0, 1, q + 1])
+    ids = np.concatenate([corners, rng.choice(pl.n_points, 40, replace=False)])
+    others = np.concatenate([np.broadcast_to(corners, (len(ids), 3)),
+                             rng.choice(pl.n_points, size=(len(ids), 200))], axis=1)
     clash = others == ids[:, None]
     others[clash] = (others[clash] + 1) % pl.n_points
-    tri = pl.triples_of_ids
-    lids = pl.join_ids(tri(ids)[:, None], tri(others))
-    slots = pl.pencil_slots(ids[:, None], lids)
-    assert (np.take_along_axis(pencils, slots, axis=1) == lids).all()
+    check_join_slots(pl, ids[:, None], others)
 
 
 def test_tables_kept_for_the_same_planes():
