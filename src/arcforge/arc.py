@@ -7,13 +7,15 @@ is covered, since an uncovered point could always be adjoined.
 
 ``verify_arc`` / ``verify_complete`` recompute everything from scratch and
 serve as the independent verifiers; they never read the plane's tables, and
-only they call ``join_ids``.  ``Coverage`` is the one incremental kernel: it
-adjoins uncovered points one at a time, keeps the covered mask and the
+only they call ``join_ids``.  ``Coverage`` is the one incremental kernel:
+it adjoins uncovered points one at a time, keeps the covered mask and the
 uncovered count of every line through the arc, stored per arc point and
-pencil slot, and from those scores candidates by their exact coverage gain.
-A join of an arc point and a candidate is a slot, read from a slot row or
-computed from coordinates by ``join_slots``; that is the only step that
-differs between planes.  The greedy search and the oracle tests run it.
+pencil slot (lines numbered by direction, see ``PlaneIndex.join_slots``),
+and from those scores candidates by their exact coverage gain.  A join of
+an arc point and any point is a slot, read from a slot row or computed from
+coordinates by ``join_slots``; that is the only step that differs between
+planes, and no step lists a line's points.  The greedy search and the
+oracle tests run it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import numpy as np
 from .plane import TABLE_BYTE_CAP, PlaneIndex
 
 _LINE_CHUNK = 2048  # bounds the (lines x q+1) marking buffers
-# bounds (arc points x candidates) per gains group: its int64 temporaries
-# hold at most 2^16 elements (512 KB), or one arc point's m when m is larger
+# bounds (arc points x candidates) per gains group: its temporaries hold at
+# most 2^16 elements, or one arc point's m when m is larger
 _GAIN_CHUNK = 1 << 16
+# bounds the uncovered ids that add finds slots for in one call
+_ID_CHUNK = 1 << 18
 
 
 class NotAnArc(ValueError):
@@ -108,12 +112,13 @@ class Coverage:
     """Incremental secant coverage of a growing arc (single-owner).
 
     Holds the covered mask and its popcount, the arc's points and, at
-    i*(q+1) + s, the uncovered count of the line at slot s of the i-th arc
-    point's pencil (incident_ids order).  A tangent lies in one pencil; a
-    secant reads 0 in both of its own.  Joins are slot positions: from a
-    slot row per arc point (for every x, the slot of line ax) while q+2 rows
-    fit TABLE_BYTE_CAP, else from coordinates via PlaneIndex.join_slots.
-    Never share one instance between concurrent workers.
+    i*(q+1) + s, the uncovered count (int32) of the line at slot s of the
+    i-th arc point's pencil, the slots numbering lines by direction (see
+    PlaneIndex.join_slots).  A tangent lies in one pencil; a secant reads 0
+    in both of its own.  Joins are slots: from a slot row per arc point
+    (for every x, the slot of line ax) while q+2 rows fit TABLE_BYTE_CAP,
+    else from coordinates via PlaneIndex.join_slots.  No step lists a
+    pencil.  Never share one instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
@@ -122,7 +127,7 @@ class Coverage:
         self.covered_count = 0
         self.arc_points: list[int] = []
         q, n = plane.q, plane.n_points
-        self._counts = np.zeros((q + 2) * (q + 1), dtype=np.int64)
+        self._counts = np.zeros((q + 2) * (q + 1), dtype=np.int32)
         self._base = np.arange(0, (q + 2) * (q + 1), q + 1)[:, None]
         self._rows = None
         if (q + 2) * n * np.dtype(plane._slot_dt).itemsize <= TABLE_BYTE_CAP:
@@ -130,11 +135,19 @@ class Coverage:
 
     @property
     def uncov_on_line(self) -> np.ndarray:
-        """Counts by line id (0 off the arc's pencils), built on each read."""
-        pl = self.plane
-        out = np.zeros(pl.n_lines, dtype=np.int64)
-        pencils = pl.incident_ids(np.asarray(self.arc_points, dtype=np.int64))
-        out[pencils.ravel()] = self._counts[:pencils.size]
+        """Counts by line id (0 off the arc's pencils), built on each read.
+
+        Each line through an arc point finds its slot by joining the arc
+        point to one of the line's first and last listed points.
+        """
+        pl, q = self.plane, self.plane.q
+        pts = np.asarray(self.arc_points, dtype=np.int64)
+        lines = pl.points_on_lines_arr(pts)
+        ends = pl.points_on_lines_arr(lines)[..., [0, q]]
+        other = np.where(ends[..., 0] != pts[:, None], ends[..., 0], ends[..., 1])
+        out = np.zeros(pl.n_lines, dtype=self._counts.dtype)
+        out[lines] = self._counts[pl.join_slots(pts[:, None], other)
+                                  + self._base[:len(pts)]]
         return out
 
     def is_complete(self) -> bool:
@@ -143,44 +156,56 @@ class Coverage:
     def uncovered_ids(self) -> np.ndarray:
         return np.flatnonzero(~self.covered)
 
-    def _joins(self, ids: np.ndarray, group: slice = slice(None)):
-        """(g, m) count positions of the joins of arc_points[group] to ids.
+    def _slots(self, ids: np.ndarray, group: slice = slice(None)):
+        """(g, m) slots of the joins of arc_points[group] to ids.
 
-        Slots come from the slot rows, else from join_slots; no id is in group.
+        From the slot rows, else from join_slots; no id is in group.
         """
-        k = len(self.arc_points)
         if self._rows is None:
             arc = np.asarray(self.arc_points[group])[:, None]
-            slots = self.plane.join_slots(arc, ids[None, :])
-        else:
-            slots = self._rows[:k][group].take(ids, axis=1)
-        return slots + self._base[:k][group]
+            return self.plane.join_slots(arc, ids[None, :])
+        return self._rows[:len(self.arc_points)][group].take(ids, axis=1)
+
+    def _joins(self, ids: np.ndarray, group: slice = slice(None)):
+        """(g, m) count positions of the joins of arc_points[group] to ids."""
+        return self._slots(ids, group) + self._base[:len(self.arc_points)][group]
 
     def add(self, pid: int) -> None:
-        """Adjoin an uncovered point: cover its new secants, update counts."""
+        """Adjoin an uncovered point: cover its new secants, update counts.
+
+        Each uncovered point is placed by its slot through pid: those at an
+        old arc point's slot lie on a new secant and are now covered, and
+        the rest, counted by slot, are pid's counts.
+        """
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
-        pl, q, k = self.plane, self.plane.q, len(self.arc_points)
+        q, k = self.plane.q, len(self.arc_points)
         pos = k * (q + 1)  # where pid's counts go
         self.covered[pid] = True
         self.covered_count += 1
-        pen_pts = pl.incident_ids(pl.incident_ids(pid))
         if self._rows is not None:
-            pl.slot_row(pid, pen_pts, self._rows[k])
+            self.plane.slot_row(pid, self._rows[k])
         self.arc_points.append(int(pid))
+        own = slice(k, k + 1)
+        unc = self.uncovered_ids()
+        slots = np.empty(len(unc), dtype=self.plane._slot_dt)
+        for lo in range(0, len(unc), _ID_CHUNK):
+            slots[lo:lo + _ID_CHUNK] = self._slots(unc[lo:lo + _ID_CHUNK], own)[0]
         if k:
-            # the new secants, at the old arc points' slots in pid's pencil,
-            # meet only at pid: each newly covered point appears once
-            old = np.asarray(self.arc_points[:k])
-            sec_pts = pen_pts[self._joins(old, slice(k, k + 1))[0] - pos]
-            newly = sec_pts[~self.covered[sec_pts]]
+            # the new secants meet only at pid: each newly covered point
+            # lies on one of them
+            secant = np.zeros(q + 1, dtype=bool)
+            secant[self._slots(np.asarray(self.arc_points[:k]), own)[0]] = True
+            hit = secant[slots]
+            newly = unc[hit]
+            slots = slots[~hit]
             self.covered[newly] = True
             self.covered_count += len(newly)
             # each newly covered point, pid too, leaves its k joins to the old
             # arc points once; pid's own bring the new secants to 0
             dec = self._joins(np.append(newly, pid), slice(k)).ravel()
             self._counts[:pos] -= np.bincount(dec, minlength=pos)
-        self._counts[pos:pos + q + 1] = (q + 1) - self.covered[pen_pts].sum(axis=1)
+        self._counts[pos:pos + q + 1] = np.bincount(slots, minlength=q + 1)
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.

@@ -70,6 +70,8 @@ def cmd_search(args) -> int:
             candidate_policy=args.policy, sample_size=args.sample_size,
             time_budget=args.time_budget,
             target_size=args.target if args.target is not None else "auto")
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         plane = greedy._plane_for(cfg)
         if args.out == "":
             raise ValueError("--out needs a file name")

@@ -314,6 +314,8 @@ class Field:
         return self.mul_arr(a, self.p - 1)
 
     def sub_arr(self, a, b):
+        if self.h == 1:
+            return (a - b) % self.p
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):

@@ -32,7 +32,7 @@ There is one engine at every q and one table rule: a search on a plane
 small enough for the dense incidence tables (q <= 109, any candidate policy)
 builds them once, before the clock starts and before any worker process
 forks, and the kernel then copies its slot rows from them instead of
-scattering them, with the same results.
+translating them, with the same results.
 """
 
 from __future__ import annotations

@@ -13,9 +13,15 @@ indices), which makes the id <-> triple map pure arithmetic:
 
 so nothing per-point is ever stored.  The same map serves lines.  A line
 lists its points from its affine slope: in x0 = 1 it is x2 = c + s*x1 (or
-x1 = a), so its affine points come out normalized.  All heavy operations are
-vectorized over numpy index arrays; a PlaneIndex is immutable after
-construction and safe to share between workers.
+x1 = a), so its affine points come out normalized.
+
+The q+1 lines through a point are numbered 0..q by direction (its *slots*):
+through an affine point a line sits at the id of its point at infinity, so
+a slot comes straight from two coordinates and no pencil is listed.  The
+slots of one affine point are the origin's translated, which gives a whole
+slot row by two takes.  All heavy operations are vectorized over numpy
+index arrays; a PlaneIndex only caches what it computes on demand (the
+origin's slots, the slot table) and is safe to share between workers.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ def check_point_cap(q: int) -> None:
 
 
 class PlaneIndex:
-    """PG(2,q) over a given field: ids, incidence, pencils."""
+    """PG(2,q) over a given field: ids, incidence, pencil slots."""
 
     def __init__(self, field: Field):
         q = field.q
@@ -56,24 +62,27 @@ class PlaneIndex:
         # smallest dtype that holds the q+1 slots 0..q of a pencil
         self._slot_dt = np.uint8 if q < 256 else np.uint16
         self._slot = None
-        self._line_points = None
+        self._block = None
 
     def __repr__(self):
         return f"PlaneIndex(q={self.q}, n_points={self.n_points})"
 
     # -- id <-> triple ------------------------------------------------------
 
-    def triples_of_ids(self, ids):
-        """(...,) ids -> (..., 3) normalized triples."""
+    def _coords(self, ids):
+        """(x0, x1, x2) of the normalized triples of ids, one array each;
+        x0 is a bool mask (x0 = 1 on the affine points)."""
         q = self.q
         ids = np.asarray(ids, dtype=self._dt)
-        out = np.zeros(ids.shape + (3,), dtype=self._dt)
-        axis_row = ids > q
-        r = ids - (q + 1)
-        out[..., 0] = np.where(axis_row, 1, 0)
-        out[..., 1] = np.where(axis_row, r // q, np.where(ids >= 1, 1, 0))
-        out[..., 2] = np.where(axis_row, r % q, np.where(ids >= 1, ids - 1, 1))
-        return out
+        y, z = np.divmod(ids - (q + 1), q)
+        affine = ids > q
+        x1 = np.where(affine, y, ids >= 1)
+        x2 = np.where(affine, z, np.where(ids >= 1, ids - 1, 1))
+        return affine, x1, x2
+
+    def triples_of_ids(self, ids):
+        """(...,) ids -> (..., 3) normalized triples."""
+        return np.stack(self._coords(ids), axis=-1)
 
     def ids_of_triples(self, t):
         """(..., 3) normalized triples -> (...,) ids."""
@@ -157,90 +166,98 @@ class PlaneIndex:
         return out.reshape(lids.shape + (q + 1,))
 
     def join_slots(self, pids, ids):
-        """Slot in incident_ids(pid) of the line joining pid to id (broadcast).
+        """Slot of the line joining pid to id in pid's pencil (broadcast).
 
-        Through a point with a2 != 0 line (1, y, z) is at slot y, else at z;
-        through (1, 0, 0) line (0, 1, t) is at slot t; other lines at slot q.
-        With l = a x b the slot is num / den: num is l1 if a2 != 0, else l2;
-        den is l0, or l1 at (1, 0, 0), where every l0 is 0; den = 0 gives q.
-        As a0, b0 are 0 or 1, only l0 takes field products.  pid != id.
+        Lines through a point are numbered by direction.  Through an affine
+        a the line to b is at the id of its point at infinity: that point is
+        the direction b - b0*a, (0, 1, num/den) or (0, 0, 1), with
+        den = b1 - b0*a1 and num = b2 - b0*a2, so the slot is 1 + num/den,
+        or 0 when den = 0; a point b at infinity is at slot id(b).  Through
+        a point at infinity the line at infinity is at slot 0 and the line
+        to an affine b meets the line x1 = 0 at (1, 0, c) (through (0,1,t),
+        c = b2 - t*b1) or x2 = 0 at (1, c, 0) (through (0,0,1), c = b1), so
+        it is at slot 1 + c: there den = b0 and num = c.  As b0 is 0 or 1,
+        an affine a pays two subtractions, one inverse and one product per
+        pair.  join_slots(a, a) is 0.
         """
-        f, q = self.field, self.q
-        a0, a1, a2 = np.moveaxis(self.triples_of_ids(pids), -1, 0)
-        b0, b1, b2 = np.moveaxis(self.triples_of_ids(ids), -1, 0)
-        l0 = f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1))
-        l1 = f.sub_arr(np.where(b0 == 1, a2, 0), np.where(a0 == 1, b2, 0))
-        l2 = f.sub_arr(np.where(a0 == 1, b1, 0), np.where(b0 == 1, a1, 0))
-        num = np.where(a2 != 0, l1, l2)
-        den = np.where(np.asarray(pids) == q + 1, l1, l0)
-        return np.where(den != 0, f.mul_arr(num, f.inv_arr(den)), q)
+        f = self.field
+        a0, a1, a2 = self._coords(pids)
+        b0, b1, b2 = self._coords(ids)
+        den = f.sub_arr(b1, b0 * a1)
+        num = f.sub_arr(b2, b0 * a2)
+        if not a0.all():
+            far = ~a0
+            den = np.where(far, b0, den)
+            num = np.where(far, np.where(a1 == 1, f.sub_arr(b2, f.mul_arr(a2, b1)),
+                                         b1), num)
+        return np.where(den != 0, 1 + f.mul_arr(num, f.inv_arr(den)), 0)
 
-    # -- id queries, read from the dense tables once they are built ----------
+    # -- slot rows: a point's slots for every point of the plane ---------------
 
-    def incident_ids(self, ids):
-        """(...,) ids -> (..., q+1) incident ids, unsorted.
+    def _origin_block(self):
+        """(q, q) slots through the origin (1, 0, 0) of the affine points,
+        block[u, v] for (1, u, v), in slot dtype; built once and cached."""
+        if self._block is None:
+            q = self.q
+            ids = np.arange(q + 1, self.n_points)
+            self._block = self.join_slots(q + 1, ids).astype(self._slot_dt).reshape(q, q)
+        return self._block
 
-        The points on each line, or by self-duality the lines through each
-        point.  Reads the line table once incidence_tables() has built it and
-        computes the pencils with points_on_lines_arr otherwise.
-        """
-        if self._line_points is not None:
-            return self._line_points[ids]
-        return self.points_on_lines_arr(ids)
-
-    def slot_row(self, pid, pen_pts, out):
+    def slot_row(self, pid, out):
         """Write into out[x] the slot (see join_slots) of the line pid x.
 
-        pen_pts = incident_ids(incident_ids(pid)).  Copies the slot table's
-        row once incidence_tables() has built it, and scatters the slot
-        numbers over pen_pts otherwise.  out[pid] is 0.
+        Copies the slot table's row once incidence_tables() has built it.
+        Otherwise an affine pid = (1, y, z) reads the origin's block
+        translated, block[u - y, v - z] at (1, u, v), and its slot of a point
+        at infinity is that point's id; a pid at infinity computes its row
+        with join_slots.  out[pid] is 0.
         """
+        q = self.q
         if self._slot is not None:
             out[:] = self._slot[pid]
+        elif pid > q:
+            f, t = self.field, np.arange(q)
+            y, z = divmod(pid - q - 1, q)
+            out[:q + 1] = np.arange(q + 1)
+            cols = self._origin_block().take(f.sub_arr(t, z), axis=1)
+            cols.take(f.sub_arr(t, y), axis=0, out=out[q + 1:].reshape(q, q))
         else:
-            out[pen_pts] = np.arange(self.q + 1, dtype=out.dtype)[:, None]
-            out[pid] = 0
+            out[:] = self.join_slots(pid, np.arange(self.n_points))
 
-    # -- dense incidence tables (small q only) --------------------------------
+    # -- dense incidence table (small q only) ---------------------------------
 
     def has_tables(self) -> bool:
-        """True when the dense tables fit in half of TABLE_BYTE_CAP.
-
-        The slot table takes n^2 bytes and the line table n(q+1) ids of two
-        bytes; the other half of the cap is left to the search's own arrays.
-        The rule admits the tables for q <= 109.
+        """True when the slot table, n^2 bytes, fits in half of
+        TABLE_BYTE_CAP; the other half is left to the search's own arrays.
+        The rule admits the table for q <= 109.
         """
-        n = self.n_points
-        return n * n + 2 * n * (self.q + 1) <= TABLE_BYTE_CAP // 2
+        return self.n_points ** 2 <= TABLE_BYTE_CAP // 2
 
     def incidence_tables(self):
-        """(slot, line_points) lookup tables, built once and cached.
+        """(slot,): the slot table, built once and cached.
 
-        line_points[l] lists the q+1 points of line l in points_on_lines_arr
-        order; by self-duality line_points[x] also lists the lines through
-        point x.  slot[a, x] (uint8) is the position, within line_points[a],
-        of the line joining points a and x, and 0 on the diagonal.  slot is
-        filled by writing each slot number over the points of its line, so
-        no join is computed.  Only available when has_tables() holds.
+        slot[a, x] (uint8) is join_slots(a, x), so slot[a] is slot_row(a).
+        The affine rows with one z are filled together, as the origin's
+        block with its columns translated by z and its rows by every y;
+        the q+1 rows at infinity come from join_slots.  Only available when
+        has_tables() holds.
         """
         if self._slot is None:
             if not self.has_tables():
                 raise MemoryBudgetExceeded(
                     f"incidence tables for q={self.q} exceed the table budget")
-            n, q = self.n_points, self.q
-            dt = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-            lpts = self.points_on_lines_arr(np.arange(n)).astype(dt)
+            n, q, f = self.n_points, self.q, self.field
             slot = np.empty((n, n), dtype=np.uint8)
-            slots = np.arange(q + 1, dtype=slot.dtype)[None, :, None]
-            block = max(1, 1_000_000 // (q + 1) ** 2)
-            for lo in range(0, n, block):
-                pts = lpts[lpts[lo:lo + block]]  # (B, q+1 lines, q+1 points)
-                rows = np.arange(lo, lo + len(pts))[:, None, None]
-                slot[rows, pts] = slots
-            np.fill_diagonal(slot, 0)
+            slot[:q + 1] = self.join_slots(np.arange(q + 1)[:, None], np.arange(n))
+            slot[q + 1:, :q + 1] = np.arange(q + 1)
+            t = np.arange(q)
+            shift = f.sub_arr(t, t[:, None])  # shift[y, u] = u - y
+            block = self._origin_block()
+            for z in range(q):
+                rows = slot[q + 1 + z::q, q + 1:].reshape(q, q, q)  # (y, u, v)
+                block.take(shift[z], axis=1).take(shift, axis=0, out=rows)
             self._slot = slot
-            self._line_points = lpts
-        return self._slot, self._line_points
+        return (self._slot,)
 
 
 def build_plane(field: Field) -> PlaneIndex:

@@ -171,6 +171,25 @@ def test_verify_complete_matches_oracle(q):
 
 
 @pytest.mark.parametrize("q", [5, 8, 9])
+def test_search_never_lists_a_pencil(q, monkeypatch):
+    # the kernel finds every slot from coordinates, from a translated slot
+    # row or from the dense table: no step of a trial lists a line's points
+    pl = plane_of(q)
+    tabled = plane_of(q)
+    tabled.incidence_tables()
+    for plane, cap in ((pl, arc_module.TABLE_BYTE_CAP), (tabled, arc_module.TABLE_BYTE_CAP),
+                       (pl, 0)):
+        with monkeypatch.context() as m:
+            m.setattr(arc_module, "TABLE_BYTE_CAP", cap)
+
+            def refuse(*args):
+                raise AssertionError("the search listed a pencil")
+            m.setattr(PlaneIndex, "points_on_lines_arr", refuse)
+            arc = greedy_trial(plane, SearchConfig(q=q), trial_rng(1, 0))
+        assert verify_complete(arc) == (True, [])
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])
 def test_search_joins_never_call_join_ids(q, monkeypatch):
     # with computed joins the kernel finds slots by join_slots alone, so the
     # verifier's join_ids shares no code path with the search it checks
@@ -218,7 +237,7 @@ def test_second_point_covers_one_line(q):
     cov.add(0)
     cov.add(int(cov.uncovered_ids()[0]))
     assert cov.covered_count == q + 1
-    lines = np.unique(pl.incident_ids(np.asarray(cov.arc_points)))
+    lines = np.unique(pl.points_on_lines_arr(np.asarray(cov.arc_points)))
     assert len(lines) == 2 * q + 1
     assert int((cov.uncov_on_line[lines] == 0).sum()) == 1
 
@@ -350,11 +369,17 @@ def check_against_scratch(cov, inc, cands):
     lines = np.flatnonzero(per_line >= 1)
     assert (cov.uncov_on_line[lines]
             == (inc[:, lines] & ~scratch[:, None]).sum(axis=0)).all()
-    # the kernel's own state: the q+1 slot counts of each arc point's pencil
-    pl = cov.plane
-    pencils = pl.incident_ids(np.asarray(pts, dtype=np.int64))
-    counts = cov._counts[:pencils.size].reshape(pencils.shape)
-    assert (counts == (inc[:, pencils] & ~scratch[:, None, None]).sum(axis=0)).all()
+    # the kernel's own state: the q+1 slot counts of each arc point's
+    # pencil; the line through arc point a and x is at join_slots(a, x)
+    pl, q, a = cov.plane, cov.plane.q, np.asarray(pts, dtype=np.int64)
+    pencils = np.nonzero(inc[a])[1].reshape(len(a), q + 1)  # lines through a
+    on = inc[pencils]  # (k, q+1, n) the lines' points, as inc is symmetric
+    on[np.arange(len(a))[:, None], :, a[:, None]] = False  # all but a
+    slots = pl.join_slots(a[:, None], on.argmax(axis=2))  # via one other point
+    assert (np.sort(slots, axis=1) == np.arange(q + 1)).all()
+    counts = np.take_along_axis(cov._counts[:slots.size].reshape(slots.shape),
+                                slots, axis=1)
+    assert (counts == (on & ~scratch).sum(axis=2)).all()
     # secants read 0 in both of their arc points' pencils
     secant = per_line[pencils] >= 2
     assert (secant.sum(axis=1) == len(pts) - 1).all()

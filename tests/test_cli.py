@@ -119,6 +119,14 @@ def test_search_rejects_bad_budget(capsys, budget):
     assert err.startswith("error: ") and "time_budget" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_rejects_bad_jobs(capsys, jobs):
+    code, out, err = run(capsys, "search", "--q", "9", "--trials", "1",
+                         "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--jobs" in err
+
+
 def test_search_out_in_missing_directory(capsys, tmp_path):
     # refused before the search runs: nothing is printed on stdout
     code, out, err = run(capsys, "search", "--q", "7", "--trials", "5",

@@ -69,75 +69,87 @@ def test_unique_line_through_pairs_exhaustive(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 16, 25, 27])
 def test_incidence_tables_match_computed(q):
-    pl, bare = plane_of(q), plane_of(q)
-    slot, lpts = pl.incidence_tables()
+    pl = plane_of(q)
+    tables = pl.incidence_tables()
+    assert len(tables) == 1
+    (slot,) = tables
     n = pl.n_points
     ids = np.arange(n)
-    assert slot.dtype == np.uint8 and lpts.dtype == np.int16
-    assert slot.shape == (n, n) and lpts.shape == (n, q + 1)
-    assert (lpts == pl.points_on_lines_arr(ids)).all()
-    assert (pl.incident_ids(ids) == bare.incident_ids(ids)).all()
-    tri = pl.triples_of_ids(ids)
-    for a in range(n):
-        # the scatter from points_on_lines_arr, exhaustively
-        pencil = pl.points_on_lines_arr(np.array([a]))[0]
-        pen_pts = pl.points_on_lines_arr(pencil)
-        expect = np.zeros(n, dtype=np.uint8)
-        expect[pen_pts] = np.arange(q + 1)[:, None]
-        expect[a] = 0
-        assert (slot[a] == expect).all()
-        # slot_row copies the table row or scatters the same row itself
-        for plane in (pl, bare):
-            row = np.full(n, 255, dtype=np.uint8)
-            plane.slot_row(a, pen_pts, row)
-            assert (row == expect).all()
-        # the line in slot[a, x] holds both a and x: raw incidence only
-        lines = pl.triples_of_ids(pencil[slot[a]])
-        assert (pl.dot_triples(lines, tri) == 0).all()
-        assert (pl.dot_triples(lines, tri[a]) == 0).all()
+    assert slot.dtype == np.uint8 and slot.shape == (n, n)
+    assert (slot == pl.join_slots(ids[:, None], ids[None, :])).all()
+    assert (np.diag(slot) == 0).all()
+    assert pl.incidence_tables()[0] is slot
 
 
-def check_join_slots(pl, a, x):
-    """The line at join_slots(a, x) in a's pencil holds a and x, by raw
-    incidence alone: join_ids is not the oracle.  a is (g, 1), x (g, m)."""
-    lines = np.take_along_axis(pl.incident_ids(a[:, 0]), pl.join_slots(a, x), axis=1)
-    lines = pl.triples_of_ids(lines)
-    assert (pl.dot_triples(lines, pl.triples_of_ids(a)) == 0).all()
-    assert (pl.dot_triples(lines, pl.triples_of_ids(x)) == 0).all()
+def check_pencil_slots(pl, a):
+    """For each point a: the slots of the points x != a are 0..q, and two of
+    them share a slot iff they are collinear with a.  Collinearity is raw
+    incidence (dot_triples): the q+1 listed lines through a hold a and
+    their listed points, and those cover every other point once."""
+    q, n = pl.q, pl.n_points
+    lines = pl.points_on_lines_arr(a)  # (g, q+1)
+    pts = pl.points_on_lines_arr(lines)  # (g, q+1, q+1)
+    ltri = pl.triples_of_ids(lines)
+    assert (pl.dot_triples(ltri, pl.triples_of_ids(a)[:, None, :]) == 0).all()
+    assert (pl.dot_triples(ltri[:, :, None, :], pl.triples_of_ids(pts)) == 0).all()
+    off = pts != a[:, None, None]
+    assert (off.sum(axis=2) == q).all()  # a is on each line once
+    rows = np.arange(len(a))[:, None, None]
+    hits = np.bincount((rows * n + pts)[off], minlength=len(a) * n).reshape(-1, n)
+    hits[np.arange(len(a)), a] += 1
+    assert (hits == 1).all()  # every x != a lies on exactly one listed line
+    slots = pl.join_slots(a[:, None, None], pts)
+    lo = np.where(off, slots, q + 1).min(axis=2)
+    hi = np.where(off, slots, -1).max(axis=2)
+    assert (lo == hi).all()  # the points of one line share its slot
+    assert (np.sort(lo, axis=1) == np.arange(q + 1)).all()  # lines differ
 
 
 @pytest.mark.parametrize(
     "q", [q for q in range(2, 28) if factor_prime_power(q) is not None] + [49])
 def test_join_slots_match_incident_order(q):
-    # exhaustively: every point a against every other point x
+    # exhaustively: every point a, the q+1 points at infinity among them,
+    # against every other point
     pl = plane_of(q)
-    n = pl.n_points
-    ids = np.arange(n)
-    for lo in range(0, n, 256):
-        a = ids[lo:lo + 256, None]
-        x = (a + np.arange(1, n)) % n  # every x != a
-        check_join_slots(pl, a, x)
-    # with the dense tables built, the pencils keep their order
-    if pl.has_tables():
-        pencils = pl.incident_ids(ids)
-        pl.incidence_tables()
-        assert (pl.incident_ids(ids) == pencils).all()
+    ids = np.arange(pl.n_points)
+    for lo in range(0, pl.n_points, 256):
+        check_pencil_slots(pl, ids[lo:lo + 256])
 
 
-@pytest.mark.parametrize("q", [243, 256, 257, 541, 625, 729, 1024, 2048])
+@pytest.mark.parametrize("q", [243, 256, 257, 529, 541, 625, 729, 1024, 2048])
 def test_join_slots_sampled(q):
-    # (0,0,1), (0,1,0) and (1,0,0) are ids 0, 1 and q+1; each takes a
-    # different branch of the slot rule, so they are always in the sample,
-    # as arc point and as the other point
+    # (0,0,1), (0,1,0), (0,1,q-1) and (1,0,0) are ids 0, 1, q and q+1: the
+    # branches of the slot rule and both ends of the points at infinity,
+    # so they are always in the sample, with a random affine point; each
+    # is checked against every other point
     pl = plane_of(q)
     rng = np.random.default_rng(q)
-    corners = np.array([0, 1, q + 1])
-    ids = np.concatenate([corners, rng.choice(pl.n_points, 40, replace=False)])
-    others = np.concatenate([np.broadcast_to(corners, (len(ids), 3)),
-                             rng.choice(pl.n_points, size=(len(ids), 200))], axis=1)
-    clash = others == ids[:, None]
-    others[clash] = (others[clash] + 1) % pl.n_points
-    check_join_slots(pl, ids[:, None], others)
+    ids = [0, 1, q, q + 1, rng.integers(q + 2, pl.n_points)]
+    for a in ids:
+        check_pencil_slots(pl, np.array([a]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                               243, 256, 257, 529])
+def test_slot_row_matches_join_slots(q):
+    # with the table (q <= 109) slot_row copies its row; without, an affine
+    # row is the origin's block translated and a row at infinity is computed
+    planes = [plane_of(q)]
+    if q <= 27:
+        pids = np.arange(planes[0].n_points)
+        planes.append(plane_of(q))
+        planes[1].incidence_tables()
+    else:
+        rng = np.random.default_rng(q)
+        pids = np.concatenate([[0, 1, q, q + 1, q + 2, planes[0].n_points - 1],
+                               rng.choice(planes[0].n_points, 6, replace=False)])
+    ids = np.arange(planes[0].n_points)
+    for pl in planes:
+        row = np.empty(pl.n_points, dtype=pl._slot_dt)
+        for pid in pids:
+            row[:] = q + 1
+            pl.slot_row(int(pid), row)
+            assert (row == pl.join_slots(pid, ids)).all()
 
 
 def test_tables_kept_for_the_same_planes():
