@@ -239,7 +239,7 @@ class PlaneIndex:
         slot[a, x] (uint8) is join_slots(a, x), so slot[a] is slot_row(a).
         The affine rows with one z are filled together, as the origin's
         block with its columns translated by z and its rows by every y;
-        the q+1 rows at infinity come from join_slots.  Only available when
+        the q+1 rows at infinity come from slot_row.  Only available when
         has_tables() holds.
         """
         if self._slot is None:
@@ -248,7 +248,8 @@ class PlaneIndex:
                     f"incidence tables for q={self.q} exceed the table budget")
             n, q, f = self.n_points, self.q, self.field
             slot = np.empty((n, n), dtype=np.uint8)
-            slot[:q + 1] = self.join_slots(np.arange(q + 1)[:, None], np.arange(n))
+            for a in range(q + 1):
+                self.slot_row(a, slot[a])
             slot[q + 1:, :q + 1] = np.arange(q + 1)
             t = np.arange(q)
             shift = f.sub_arr(t, t[:, None])  # shift[y, u] = u - y
