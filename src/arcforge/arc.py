@@ -24,12 +24,10 @@ import numpy as np
 
 from .plane import TABLE_BYTE_CAP, PlaneIndex
 
-_LINE_CHUNK = 2048  # bounds the (lines x q+1) marking buffers
-# bounds (arc points x candidates) per gains group: its temporaries hold at
-# most 2^16 elements, or one arc point's m when m is larger
-_GAIN_CHUNK = 1 << 16
-# bounds the uncovered ids that add finds slots for in one call
-_ID_CHUNK = 1 << 18
+# elements in one block of working arrays: the points the verifier marks
+# at once (63 lines at q = 1024), a gains group (arc points x candidates),
+# the uncovered ids add places at once and the joins of one decrement
+_BLOCK = 1 << 16
 
 
 class NotAnArc(ValueError):
@@ -79,46 +77,63 @@ def _pair_line_ids(arc: Arc) -> np.ndarray:
     return arc.plane.join_ids(coords[iu], coords[ju])
 
 
+def _arc_lines(arc: Arc) -> np.ndarray | None:
+    """The C(k,2) lines joining pairs of arc points, or None when a point
+    repeats or three are collinear (two of the lines then coincide)."""
+    if len(set(arc.points)) != len(arc.points):
+        return None
+    lids = _pair_line_ids(arc)
+    return lids if len(np.unique(lids)) == len(lids) else None
+
+
 def verify_arc(arc: Arc) -> bool:
     """True iff no line meets the arc in three points.
 
     Tallies arc points per line over all pairs: the arc property holds
     exactly when the C(k,2) joining lines are pairwise distinct.
     """
-    if len(set(arc.points)) != len(arc.points):
-        return False
-    lids = _pair_line_ids(arc)
-    return len(np.unique(lids)) == len(lids)
+    return _arc_lines(arc) is not None
 
 
 def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
     """Recompute coverage from scratch; return (complete, uncovered ids).
 
-    Every uncovered id returned could legally extend the arc.
+    Raises NotAnArc when the input fails the arc property, which it checks
+    on the same joins it marks.  Secants are marked a block of lines at a
+    time, at most _BLOCK points per block, so beyond the n-byte covered
+    mask the working memory does not grow with q.  Every uncovered id
+    returned could legally extend the arc.
     """
-    if not verify_arc(arc):
+    lids = _arc_lines(arc)
+    if lids is None:
         raise NotAnArc("input fails the arc property")
     pl = arc.plane
     covered = arc.in_arc.copy()
-    lids = _pair_line_ids(arc)
-    for lo in range(0, len(lids), _LINE_CHUNK):
-        pts = pl.points_on_lines_arr(lids[lo:lo + _LINE_CHUNK])
-        covered[pts.ravel()] = True
-    uncovered = np.flatnonzero(~covered)
-    return len(uncovered) == 0, [int(x) for x in uncovered]
+    step = max(1, _BLOCK // (pl.q + 1))  # lines per block
+    for lo in range(0, len(lids), step):
+        covered[pl.points_on_lines_arr(lids[lo:lo + step]).ravel()] = True
+    if covered.all():
+        return True, []
+    return False, [int(x) for x in np.flatnonzero(~covered)]
 
 
 class Coverage:
     """Incremental secant coverage of a growing arc (single-owner).
 
-    Holds the covered mask and its popcount, the arc's points and, at
-    i*(q+1) + s, the uncovered count (int32) of the line at slot s of the
-    i-th arc point's pencil, the slots numbering lines by direction (see
-    PlaneIndex.join_slots).  A tangent lies in one pencil; a secant reads 0
-    in both of its own.  Joins are slots: from a slot row per arc point
-    (for every x, the slot of line ax) while q+2 rows fit TABLE_BYTE_CAP,
-    else from coordinates via PlaneIndex.join_slots.  No step lists a
-    pencil.  Never share one instance between concurrent workers.
+    Holds the covered mask and its popcount, the uncovered ids in ascending
+    order, the arc's points and, at i*(q+1) + s, the uncovered count
+    (int32) of the line at slot s of the i-th arc point's pencil, the slots
+    numbering lines by direction (see PlaneIndex.join_slots).  A tangent
+    lies in one pencil; a secant reads 0 in both of its own.  Joins are
+    slots: from a slot row per arc point (for every x, the slot of line ax)
+    while q+2 rows fit TABLE_BYTE_CAP, else from coordinates via
+    PlaneIndex.join_slots.  No step lists a pencil.
+
+    Working memory is bounded and reused: gains and add work in blocks of
+    at most _BLOCK elements, in scratch arrays the instance keeps (grown to
+    what its blocks need, at most _BLOCK), and add compacts the uncovered
+    ids in place.  Arrays the public methods return are never scratch.
+    Never share one instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
@@ -132,6 +147,20 @@ class Coverage:
         self._rows = None
         if (q + 2) * n * np.dtype(plane._slot_dt).itemsize <= TABLE_BYTE_CAP:
             self._rows = np.empty((q + 2, n), dtype=plane._slot_dt)
+        self._unc = np.arange(n)  # uncovered ids in _unc[:_m], ascending
+        self._m = n
+        self._cap = 0  # scratch size, see _reserve
+
+    def _reserve(self, size: int) -> None:
+        """Grow the scratch arrays to at least size elements, doubling up
+        to _BLOCK; no block needs more than _BLOCK unless k does."""
+        if size > self._cap:
+            self._cap = cap = max(size, min(2 * self._cap, _BLOCK))
+            self._slot = np.empty(cap, dtype=self.plane._slot_dt)
+            self._pos = np.empty(cap, dtype=np.intp)
+            self._cnt = np.empty(cap, dtype=np.int32)
+            self._hit = np.empty(cap, dtype=bool)
+            self._sum = np.empty(cap, dtype=np.int64)
 
     @property
     def uncov_on_line(self) -> np.ndarray:
@@ -154,58 +183,82 @@ class Coverage:
         return self.covered_count == self.plane.n_points
 
     def uncovered_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.covered)
+        """Ascending ids of the uncovered points, as a new array."""
+        return self._unc[:self._m].copy()
 
-    def _slots(self, ids: np.ndarray, group: slice = slice(None)):
-        """(g, m) slots of the joins of arc_points[group] to ids.
-
-        From the slot rows, else from join_slots; no id is in group.
-        """
+    def _own_slots(self, ids: np.ndarray):
+        """Slots of the joins of the last arc point to ids (the slot
+        scratch when read from its slot row); no id is that point."""
+        self._reserve(len(ids))
         if self._rows is None:
-            arc = np.asarray(self.arc_points[group])[:, None]
-            return self.plane.join_slots(arc, ids[None, :])
-        return self._rows[:len(self.arc_points)][group].take(ids, axis=1)
+            return self.plane.join_slots(self.arc_points[-1], ids)
+        k = len(self.arc_points) - 1
+        return self._rows[k].take(ids, mode="clip", out=self._slot[:len(ids)])
 
-    def _joins(self, ids: np.ndarray, group: slice = slice(None)):
-        """(g, m) count positions of the joins of arc_points[group] to ids."""
-        return self._slots(ids, group) + self._base[:len(self.arc_points)][group]
+    def _positions(self, ids: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, len(ids)) count positions, in the position scratch, of
+        the joins of arc_points[lo:hi] to ids; no id is in that group."""
+        self._reserve((hi - lo) * len(ids))
+        out = self._pos[:(hi - lo) * len(ids)].reshape(hi - lo, len(ids))
+        if self._rows is None:
+            arc = np.asarray(self.arc_points[lo:hi])[:, None]
+            slots = self.plane.join_slots(arc, ids)
+        else:
+            slots = self._rows[lo:hi].take(ids, axis=1, mode="clip",
+                                           out=self._slot[:out.size].reshape(out.shape))
+        return np.add(slots, self._base[lo:hi], out=out)
 
     def add(self, pid: int) -> None:
         """Adjoin an uncovered point: cover its new secants, update counts.
 
         Each uncovered point is placed by its slot through pid: those at an
         old arc point's slot lie on a new secant and are now covered, and
-        the rest, counted by slot, are pid's counts.
+        the rest, counted by slot, are pid's counts.  The uncovered ids go
+        through in blocks of _BLOCK, each compacted into place as it goes.
         """
         if self.covered[pid]:
             raise CoveredPoint(f"point {pid} is already covered")
         q, k = self.plane.q, len(self.arc_points)
         pos = k * (q + 1)  # where pid's counts go
-        self.covered[pid] = True
-        self.covered_count += 1
         if self._rows is not None:
             self.plane.slot_row(pid, self._rows[k])
         self.arc_points.append(int(pid))
-        own = slice(k, k + 1)
-        unc = self.uncovered_ids()
-        slots = np.empty(len(unc), dtype=self.plane._slot_dt)
-        for lo in range(0, len(unc), _ID_CHUNK):
-            slots[lo:lo + _ID_CHUNK] = self._slots(unc[lo:lo + _ID_CHUNK], own)[0]
+        # the new secants meet only at pid: each newly covered point lies
+        # on one of them
+        secant = np.zeros(q + 1, dtype=bool)
         if k:
-            # the new secants meet only at pid: each newly covered point
-            # lies on one of them
-            secant = np.zeros(q + 1, dtype=bool)
-            secant[self._slots(np.asarray(self.arc_points[:k]), own)[0]] = True
-            hit = secant[slots]
-            newly = unc[hit]
-            slots = slots[~hit]
+            secant[self._own_slots(np.asarray(self.arc_points[:k]))] = True
+        own = self._counts[pos:pos + q + 1]
+        unc, m = self._unc, self._m
+        at = int(np.searchsorted(unc[:m], pid))
+        kept = 0
+        for lo in range(0, m, _BLOCK):
+            ids = unc[lo:min(lo + _BLOCK, m)]
+            slots = self._own_slots(ids)
+            if self._rows is not None:  # as intp, which take and bincount want
+                self._pos[:len(ids)] = slots
+                slots = self._pos[:len(ids)]
+            own += np.bincount(slots, minlength=q + 1)
+            hit = secant.take(slots, mode="clip", out=self._hit[:len(ids)])
+            if lo <= at < lo + len(ids):
+                hit[at - lo] = True  # pid leaves the list with them
+            # each newly covered point, pid too, leaves its k joins to the
+            # old arc points once; pid's own bring the new secants to 0
+            newly = ids[hit]
             self.covered[newly] = True
             self.covered_count += len(newly)
-            # each newly covered point, pid too, leaves its k joins to the old
-            # arc points once; pid's own bring the new secants to 0
-            dec = self._joins(np.append(newly, pid), slice(k)).ravel()
-            self._counts[:pos] -= np.bincount(dec, minlength=pos)
-        self._counts[pos:pos + q + 1] = np.bincount(slots, minlength=q + 1)
+            rest = ids[np.logical_not(hit, out=hit)]
+            unc[kept:kept + len(rest)] = rest
+            kept += len(rest)
+            step = max(1, _BLOCK // max(k, 1))  # newly covered per decrement
+            for d in range(0, len(newly) if k else 0, step):
+                dec = self._positions(newly[d:d + step], 0, k).ravel()
+                self._counts[:pos] -= np.bincount(dec, minlength=pos)
+        self._m = kept
+        # pid sits at slot 0 of its own row; points at a secant's slot
+        # are covered now
+        own[0] -= 1
+        own[secant] = 0
 
     def gains(self, cand_ids: np.ndarray) -> np.ndarray:
         """Exact number of points each uncovered candidate would newly cover.
@@ -213,12 +266,22 @@ class Coverage:
         The k lines joining a candidate to the arc points are tangents that
         pairwise meet only at the candidate, so its gain is the sum of
         their uncovered counts minus the k - 1 repeats of the candidate.
+        Candidates go through in blocks of at most _BLOCK, and each block's
+        counts are summed over groups of arc points, group x block <= _BLOCK.
         """
         if self.covered[cand_ids].any():
             raise CoveredPoint("gains are defined for uncovered points only")
         k, m = len(self.arc_points), len(cand_ids)
         out = np.full(m, 1 - k, dtype=np.int64)
-        step = max(1, _GAIN_CHUNK // max(m, 1))  # arc points per group
-        for lo in range(0, k, step):
-            out += self._counts[self._joins(cand_ids, slice(lo, lo + step))].sum(0)
+        width = max(1, min(m, _BLOCK))  # candidates per block
+        step = max(1, _BLOCK // width)  # arc points per group
+        for c in range(0, m, width):
+            ids = cand_ids[c:c + width]
+            for lo in range(0, k, step):
+                hi = min(lo + step, k)
+                pos = self._positions(ids, lo, hi)
+                cnt = self._counts.take(pos, mode="clip",
+                                        out=self._cnt[:pos.size].reshape(pos.shape))
+                out[c:c + width] += np.add.reduce(cnt, axis=0, dtype=np.int64,
+                                                  out=self._sum[:len(ids)])
         return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf
-from .arc import Arc, verify_arc, verify_complete
+from .arc import Arc, NotAnArc, verify_complete
 from .plane import build_plane, check_point_cap
 
 
@@ -161,8 +161,10 @@ def read_certificate(path) -> tuple[Arc, bool | None]:
 def read_and_verify(path) -> VerifyReport:
     """Independently re-verify a certificate from scratch."""
     arc, claimed_complete = read_certificate(path)
-    is_arc = verify_arc(arc)
-    is_complete = verify_complete(arc)[0] if is_arc else False
+    try:
+        is_arc, is_complete = True, verify_complete(arc)[0]
+    except NotAnArc:
+        is_arc = is_complete = False
     return VerifyReport(
         is_arc=is_arc, is_complete=is_complete, size=len(arc.points),
         q=arc.plane.q, claimed_complete=claimed_complete)

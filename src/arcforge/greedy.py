@@ -155,7 +155,7 @@ class _Trial(Coverage):
         self.seed_arc_size = seed_arc_size
 
     def select(self) -> int:
-        cands = self.uncovered_ids()
+        cands = self._unc[:self._m]  # the kernel's own list, not copied
         if self.policy == "sample" and len(cands) > self.sample_size:
             cands = np.sort(self.rng.choice(cands, size=self.sample_size,
                                             replace=False))

@@ -196,11 +196,15 @@ class PlaneIndex:
 
     def _origin_block(self):
         """(q, q) slots through the origin (1, 0, 0) of the affine points,
-        block[u, v] for (1, u, v), in slot dtype; built once and cached."""
+        block[u, v] for (1, u, v), in slot dtype; built once and cached,
+        64 rows at a time so its temporaries stay small."""
         if self._block is None:
             q = self.q
-            ids = np.arange(q + 1, self.n_points)
-            self._block = self.join_slots(q + 1, ids).astype(self._slot_dt).reshape(q, q)
+            block = np.empty((q, q), dtype=self._slot_dt)
+            for u in range(0, q, 64):
+                ids = np.arange(q + 1 + u * q, q + 1 + min(u + 64, q) * q)
+                block[u:u + 64] = self.join_slots(q + 1, ids).reshape(-1, q)
+            self._block = block
         return self._block
 
     def slot_row(self, pid, out):

@@ -366,6 +366,7 @@ def check_against_scratch(cov, inc, cands):
     scratch |= inc[:, per_line >= 2].any(axis=1)
     assert (cov.covered == scratch).all()
     assert cov.covered_count == int(scratch.sum())
+    assert (cov.uncovered_ids() == np.flatnonzero(~scratch)).all()
     lines = np.flatnonzero(per_line >= 1)
     assert (cov.uncov_on_line[lines]
             == (inc[:, lines] & ~scratch[:, None]).sum(axis=0)).all()
@@ -476,11 +477,11 @@ def test_kernel_matches_scratch_where_slots_widen(q, dtype):
 
 
 # gains sums the arc's pencil counts over groups of arc points, with
-# group x candidates <= _GAIN_CHUNK; "one" makes every group a single arc
+# group x candidates <= _BLOCK; "one" makes every group a single arc
 # point, "uneven" makes groups of three, so the last group is short whenever
 # three does not divide the arc size
 def set_groups(monkeypatch, groups, m):
-    monkeypatch.setattr(arc_module, "_GAIN_CHUNK", 1 if groups == "one" else 3 * m)
+    monkeypatch.setattr(arc_module, "_BLOCK", m if groups == "one" else 3 * m)
 
 
 def use_source(pl, source, monkeypatch):
@@ -523,6 +524,65 @@ def test_grouped_gains_where_slots_widen(q, source, groups, monkeypatch):
         set_groups(monkeypatch, groups, len(cands))
         expect = scratch_gains(pl, cov.arc_points, covered, cands)
         assert (cov.gains(cands) == expect).all()
+
+
+# add places the uncovered ids a block at a time, compacting the list in
+# place, and splits the decrement into blocks of newly covered points; a
+# budget of 1 makes every block one id (or one arc point's joins), 7 and 40
+# leave short last blocks
+@pytest.mark.parametrize("block", [1, 7, 40])
+@pytest.mark.parametrize("source", ["rows", "tables", "computed"])
+@pytest.mark.parametrize("q", [4, 7, 9, 16])
+def test_kernel_matches_scratch_in_small_blocks(q, source, block, monkeypatch):
+    pl, inc = plane_and_incidence(q)
+    use_source(pl, source, monkeypatch)
+    monkeypatch.setattr(arc_module, "_BLOCK", block)
+    rng = np.random.default_rng(q + block)
+    for _ in range(2):
+        cov = Coverage(pl)
+        while not cov.is_complete():
+            unc = cov.uncovered_ids()
+            cov.add(int(rng.choice(unc)))
+            left = cov.uncovered_ids()
+            check_against_scratch(cov, inc, left[:5])
+
+
+@pytest.mark.parametrize("source", ["rows", "computed"])
+def test_returned_arrays_survive_later_adds(source, monkeypatch):
+    # add compacts the kernel's own id list in place and gains sums in
+    # reused scratch: what uncovered_ids and gains returned stays as it was
+    pl = plane_of(16)
+    use_source(pl, source, monkeypatch)
+    rng = np.random.default_rng(16)
+    cov = Coverage(pl)
+    held = []
+    while not cov.is_complete():
+        unc = cov.uncovered_ids()
+        g = cov.gains(unc)
+        held.append((unc, unc.copy(), g, g.copy()))
+        cov.add(int(rng.choice(unc)))
+    for unc, unc0, g, g0 in held:
+        assert (unc == unc0).all() and (g == g0).all()
+
+
+def test_verify_complete_memory_is_one_block_plus_the_mask():
+    # secants are marked a block of lines at a time, at most _BLOCK points:
+    # beyond the n-byte covered mask its temporaries take a few dozen bytes
+    # per block point, whatever q is (2048-line blocks peaked at 36 MB here)
+    import tracemalloc
+    from pathlib import Path
+
+    from arcforge.certify import read_certificate
+    cert = Path(__file__).parents[1] / "benchmarks" / "data" / "verify_q1024.arc"
+    arc, _ = read_certificate(cert)
+    assert (arc.plane.q, len(arc.points)) == (1024, 136)
+    tracemalloc.start()
+    try:
+        assert verify_complete(arc) == (True, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arc.plane.n_points + 48 * arc_module._BLOCK
 
 
 @pytest.mark.parametrize("source", ["rows", "tables", "computed"])

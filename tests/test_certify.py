@@ -115,6 +115,30 @@ def test_point_on_secant_fails_arc_check(tmp_path):
     assert not rep.is_arc
 
 
+@pytest.mark.parametrize("points, is_arc, complete", [
+    ("conic", True, True), ("conic4", True, False), ("collinear", False, False)])
+def test_verify_joins_the_pairs_once(points, is_arc, complete, tmp_path,
+                                     monkeypatch):
+    # the arc check and the marking share one join_ids call over the C(k,2)
+    # pairs; the verdicts are those of verify_arc and verify_complete
+    from arcforge.plane import PlaneIndex
+    pl = plane_of(7)
+    conic = [pl.point_id([1, t, t * t % 7]) for t in range(7)] + [pl.point_id([0, 0, 1])]
+    pts = {"conic": conic, "conic4": conic[:4],
+           "collinear": conic[:3] + [pl.point_id([2, 1, 1])]}[points]
+    arc = Arc(pl)
+    arc.points, arc.in_arc[pts] = list(pts), True
+    path = tmp_path / "c.arc"
+    write_certificate(arc, path, complete=complete)
+    calls = []
+    join_ids = PlaneIndex.join_ids
+    monkeypatch.setattr(PlaneIndex, "join_ids",
+                        lambda self, a, b: calls.append(len(a)) or join_ids(self, a, b))
+    rep = read_and_verify(path)
+    assert (rep.is_arc, rep.is_complete) == (is_arc, complete)
+    assert calls == [len(pts) * (len(pts) - 1) // 2]
+
+
 def test_freeform_comments_ignored(tmp_path):
     path = tmp_path / "chatty.arc"
     path.write_text("2 2 1 0 1\n# found by hand\n# size unknown\n"

@@ -167,11 +167,11 @@ def test_search_jobs_early_stop_matches_serial():
 
 
 def test_search_jobs_respects_time_budget():
-    # one worker's share of a block (64 sampled trials at q = 121, which
-    # has no tables, about 0.14 s each) takes seconds; the workers must stop
+    # one worker's share of a block (64 sampled trials at q = 256, which
+    # has no tables, about 0.07 s each) takes seconds; the workers must stop
     # at the deadline, not at the block end
     budget = 0.5
-    cfg = SearchConfig(q=121, trials=10**6, master_seed=0,
+    cfg = SearchConfig(q=256, trials=10**6, master_seed=0,
                        candidate_policy="sample", target_size=None,
                        time_budget=budget)
     t0 = time.monotonic()
