@@ -114,7 +114,8 @@ def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
         covered[pl.points_on_lines_arr(lids[lo:lo + step]).ravel()] = True
     if covered.all():
         return True, []
-    return False, [int(x) for x in np.flatnonzero(~covered)]
+    uncovered = np.logical_not(covered, out=covered)  # no second n-byte mask
+    return False, [int(x) for x in np.flatnonzero(uncovered)]
 
 
 class Coverage:

@@ -568,7 +568,7 @@ def test_returned_arrays_survive_later_adds(source, monkeypatch):
 def test_verify_complete_memory_is_one_block_plus_the_mask():
     # secants are marked a block of lines at a time, at most _BLOCK points:
     # beyond the n-byte covered mask its temporaries take a few dozen bytes
-    # per block point, whatever q is (2048-line blocks peaked at 36 MB here)
+    # per block point, whatever q is
     import tracemalloc
     from pathlib import Path
 
