@@ -233,6 +233,7 @@ class Coverage:
         unc, m = self._unc, self._m
         at = int(np.searchsorted(unc[:m], pid))
         kept = 0
+        step = max(1, _BLOCK // max(k, 1))  # newly covered per decrement
         for lo in range(0, m, _BLOCK):
             ids = unc[lo:min(lo + _BLOCK, m)]
             slots = self._own_slots(ids)
@@ -251,8 +252,7 @@ class Coverage:
             rest = ids[np.logical_not(hit, out=hit)]
             unc[kept:kept + len(rest)] = rest
             kept += len(rest)
-            step = max(1, _BLOCK // max(k, 1))  # newly covered per decrement
-            for d in range(0, len(newly) if k else 0, step):
+            for d in range(0, len(newly), step):
                 dec = self._positions(newly[d:d + step], 0, k).ravel()
                 self._counts[:pos] -= np.bincount(dec, minlength=pos)
         self._m = kept
