@@ -256,8 +256,8 @@ class Coverage:
                 dec = self._positions(newly[d:d + step], 0, k).ravel()
                 self._counts[:pos] -= np.bincount(dec, minlength=pos)
         self._m = kept
-        # pid sits at slot 0 of its own row; points at a secant's slot
-        # are covered now
+        # the bincounts took pid's join to itself as slot 0, and the points
+        # at a secant's slot are covered now
         own[0] -= 1
         own[secant] = 0
 
