@@ -67,22 +67,14 @@ class Arc:
         return self.plane.triples_of_ids(np.asarray(self.points, dtype=np.int64))
 
 
-def _pair_line_ids(arc: Arc) -> np.ndarray:
-    """Line ids spanned by every unordered pair of arc points."""
-    k = len(arc.points)
-    if k < 2:
-        return np.empty(0, dtype=arc.plane._dt)
-    coords = arc.coords()
-    iu, ju = np.triu_indices(k, 1)
-    return arc.plane.join_ids(coords[iu], coords[ju])
-
-
 def _arc_lines(arc: Arc) -> np.ndarray | None:
     """The C(k,2) lines joining pairs of arc points, or None when a point
     repeats or three are collinear (two of the lines then coincide)."""
     if len(set(arc.points)) != len(arc.points):
         return None
-    lids = _pair_line_ids(arc)
+    coords = arc.coords()
+    iu, ju = np.triu_indices(len(coords), 1)
+    lids = arc.plane.join_ids(coords[iu], coords[ju])
     return lids if len(np.unique(lids)) == len(lids) else None
 
 

@@ -108,9 +108,9 @@ def load_table(path: str | None = None) -> KnownTable:
             if not all(x.isascii() and x.isdigit() for x in parts):
                 raise ValueError(f"line {lineno}: expected 4 unsigned integers")
             q, t2, exact, tid = map(int, parts)
-            if exact not in (0, 1) or not 1 <= tid <= 5:
-                raise ValueError(f"line {lineno}: exact must be 0 or 1 and "
-                                 "table 1-5")
+            if exact not in (0, 1) or not 1 <= tid <= 5 or t2 < 3:
+                raise ValueError(f"line {lineno}: t2 must be >= 3, exact 0 or "
+                                 "1 and table 1-5")
             if q in rows:
                 raise ValueError(f"line {lineno}: duplicate q = {q}")
             rows[q] = TableRow(q, t2, bool(exact), tid)
@@ -432,10 +432,9 @@ def _band_for(bands, q):
     return None
 
 
-def stats_rows(table: KnownTable | None = None, c: float = 0.75,
-               q_min: int = STATS_Q_MIN,
-               exclude: frozenset[int] = DEFAULT_EXCLUDE) -> list[BoundRecord]:
-    """Records for every tabulated q >= q_min outside the exclusion list."""
+def stats_rows(table: KnownTable | None = None, *, c: float = 0.75,
+               q_min: int = STATS_Q_MIN) -> list[BoundRecord]:
+    """Records for every tabulated q >= q_min outside DEFAULT_EXCLUDE."""
     if not 0 < c < 1:
         raise ValueError("exponent c must lie in (0, 1)")
     if q_min < 2:
@@ -443,7 +442,7 @@ def stats_rows(table: KnownTable | None = None, c: float = 0.75,
     table = table or default_table()
     out = []
     for q in table.qs():
-        if q < q_min or q in exclude:
+        if q < q_min or q in DEFAULT_EXCLUDE:
             continue
         row = table.get(q)
         rec = compute_record(row.q, row.t2, row.exact)
@@ -453,11 +452,10 @@ def stats_rows(table: KnownTable | None = None, c: float = 0.75,
     return out
 
 
-def check_observations(table: KnownTable | None = None,
-                       exclude: frozenset[int] = DEFAULT_EXCLUDE) -> list[Violation]:
+def check_observations(table: KnownTable | None = None) -> list[Violation]:
     """Row-wise D/delta/P band checks over the statistics range."""
     out: list[Violation] = []
-    for rec in stats_rows(table, exclude=exclude):
+    for rec in stats_rows(table):
         band = _band_for(D_BANDS, rec.q)
         if band and not band[0] < rec.d075 < band[1]:
             out.append(Violation(f"D(0.75) in ({band[0]}, {band[1]})", rec.q, rec.t2))
@@ -469,17 +467,14 @@ def check_observations(table: KnownTable | None = None,
     return out
 
 
-def average_d(table: KnownTable | None = None, c: float = 0.75,
-              q_min: int = STATS_Q_MIN,
-              exclude: frozenset[int] = DEFAULT_EXCLUDE) -> float:
-    """Recompute the average of D_q(c); audits the pinned D_AVER."""
-    ds = [rec.d075 for rec in stats_rows(table, c, q_min, exclude)]
+def average_d(table: KnownTable | None = None) -> float:
+    """Recompute the average of D_q(0.75); audits the pinned D_AVER."""
+    ds = [rec.d075 for rec in stats_rows(table)]
     return sum(ds) / len(ds)
 
 
 def emit_stats_csv(out_file, table: KnownTable | None = None, c: float = 0.75,
-                   q_min: int = STATS_Q_MIN,
-                   exclude: frozenset[int] = DEFAULT_EXCLUDE) -> int:
+                   q_min: int = STATS_Q_MIN) -> int:
     """Write the statistics rows as CSV; returns the row count.
 
     Reals carry 6 significant digits; B_q keeps its defining 2-decimal
@@ -487,7 +482,7 @@ def emit_stats_csv(out_file, table: KnownTable | None = None, c: float = 0.75,
     """
     writer = csv.writer(out_file, lineterminator="\n")
     writer.writerow(["q", "t2", "A_q", "B_q", f"D_{c:g}", "t_hat", "delta", "P_pct"])
-    rows = stats_rows(table, c, q_min, exclude)
+    rows = stats_rows(table, c=c, q_min=q_min)
     for r in rows:
         writer.writerow([
             r.q, r.t2, "" if r.big_a is None else r.big_a, f"{r.big_b:.2f}",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import gf
 from .arc import Arc, NotAnArc, verify_complete
+from .gf import ReducibleModulus
 from .plane import build_plane, check_point_cap
 
 
@@ -31,10 +32,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-class ReducibleModulus(ValueError):
-    """The header polynomial does not define a field."""
 
 
 class DuplicatePoint(ValueError):
@@ -81,7 +78,10 @@ def _parse_ints(text: str, lineno: int) -> list[int]:
         # plain ASCII digits only: int() would also take a sign or "0_1"
         if not (token.isascii() and token.isdigit()):
             raise ParseError(f"expected an integer, got {token!r}", lineno, pos + 1)
-        vals.append(int(token))
+        try:
+            vals.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer too long", lineno, pos + 1) from None
         pos += len(token)
     return vals
 
@@ -109,14 +109,19 @@ def read_certificate(path) -> tuple[Arc, bool | None]:
     if h < 1 or len(modulus) != h + 1:
         raise ParseError(f"expected {max(h, 1) + 1} modulus coefficients, "
                          f"got {len(modulus)}", 1)
+    power = 1
+    for _ in range(h):  # p**h, but never much larger than q
+        power *= p
+        if power > q:
+            break
+    if power != q:
+        raise ParseError(f"q = {q} is not {p}^{h}", 1)
+    check_point_cap(q)  # before the field's tables are built
     try:
-        if p ** h != q:
-            raise ValueError(f"q = {q} is not {p}^{h}")
-        check_point_cap(q)  # before the field's tables are built
         fld = gf.Field(p, h, modulus)
-    except (gf.NotPrime, gf.DegreeZero, gf.OrderOverflow, ValueError) as exc:
-        if "reducible" in str(exc):
-            raise ReducibleModulus(str(exc)) from exc
+    except ReducibleModulus:
+        raise
+    except ValueError as exc:  # every other gf error subclasses it
         raise ParseError(str(exc), 1) from exc
 
     plane = build_plane(fld)

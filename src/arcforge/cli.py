@@ -39,8 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--jobs", type=int, default=1,
                    help="worker processes, capped at the CPUs this process "
                         "may use")
-    s.add_argument("--policy", choices=["exact", "sample"], default="exact")
-    s.add_argument("--sample-size", type=int, default=4096)
+    s.add_argument("--policy", choices=["exact", "sample"],
+                   default=greedy.SearchConfig.candidate_policy)
+    s.add_argument("--sample-size", type=int, default=greedy.SearchConfig.sample_size)
     s.add_argument("--time-budget", type=float,
                    help="wall-clock cap in seconds; it starts after the "
                         "plane and its tables are built, which happens once "
@@ -57,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
 
     st = add_parser("stats", help="normalized-size statistics and CSV")
-    st.add_argument("--c", type=float, default=0.75)
-    st.add_argument("--qmin", type=int, default=bounds.STATS_Q_MIN)
+    defaults = bounds.stats_rows.__kwdefaults__
+    st.add_argument("--c", type=float, default=defaults["c"])
+    st.add_argument("--qmin", type=int, default=defaults["q_min"])
     st.add_argument("--csv", help="write per-q rows to this file")
     return ap
 
@@ -164,10 +166,9 @@ def cmd_table(args) -> int:
         return 2
     print("q t2 exact A_q B_q")
     for r in rows:
-        big_a = bounds.a_q_column(r.q, r.t2)
-        big_b = bounds.b_q_hundredths(r.q, r.t2) / 100
+        rec = bounds.compute_record(r.q, r.t2, r.exact)
         print(f"{r.q} {r.t2} {'*' if r.exact else '-'} "
-              f"{big_a if big_a is not None else '-'} {big_b:.2f}")
+              f"{rec.big_a if rec.big_a is not None else '-'} {rec.big_b:.2f}")
     return 0
 
 
@@ -192,7 +193,9 @@ def cmd_stats(args) -> int:
     print(f"rows: {len(rows)}")
     print(f"q_range: {rows[0].q}..{rows[-1].q}")
     print(f"average_D: {avg:.6g}")
-    bad = bounds.check_observations(table) if (args.c, args.qmin) == (0.75, 173) else []
+    # the bands are stated for the default statistics rows only
+    is_default = {"c": args.c, "q_min": args.qmin} == bounds.stats_rows.__kwdefaults__
+    bad = bounds.check_observations(table) if is_default else []
     print(f"band_violations: {len(bad)}")
     for v in bad[:20]:
         print(f"  q={v.q}: {v.band}")

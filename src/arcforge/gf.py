@@ -36,6 +36,10 @@ class OrderOverflow(ValueError):
     """p**h exceeds the supported field order cap."""
 
 
+class ReducibleModulus(ValueError):
+    """The given modulus is reducible, so it does not define a field."""
+
+
 class ZeroInverse(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
@@ -198,20 +202,13 @@ class Field:
             if any(not 0 <= c < p for c in modulus):
                 raise ValueError("modulus coefficients out of range")
             if h > 1 and not is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+                raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._build_log_tables()
         self._build_vector_tables()
 
     def __repr__(self):
         return f"Field(p={self.p}, h={self.h}, q={self.q})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.h, self.modulus) == (other.p, other.h, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.h, self.modulus))
 
     # -- element <-> coefficient view ------------------------------------
 

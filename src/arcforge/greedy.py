@@ -145,20 +145,18 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 class _Trial(Coverage):
     """One greedy run: the coverage kernel plus its RNG and candidate policy."""
 
-    def __init__(self, plane: PlaneIndex, rng: np.random.Generator,
-                 policy: str = "exact", sample_size: int = 4096,
-                 seed_arc_size: int = 2):
+    def __init__(self, plane: PlaneIndex, cfg: SearchConfig,
+                 rng: np.random.Generator, trial_index: int):
         super().__init__(plane)
         self.rng = rng
-        self.policy = policy
-        self.sample_size = sample_size
-        self.seed_arc_size = seed_arc_size
+        self.cfg = cfg
+        self.seed_arc_size = cfg.seed_size_for(trial_index)
 
     def select(self) -> int:
         cands = self._unc[:self._m]  # the kernel's own list, not copied
-        if self.policy == "sample" and len(cands) > self.sample_size:
-            cands = np.sort(self.rng.choice(cands, size=self.sample_size,
-                                            replace=False))
+        size = self.cfg.sample_size
+        if self.cfg.candidate_policy == "sample" and len(cands) > size:
+            cands = np.sort(self.rng.choice(cands, size=size, replace=False))
         if len(self.arc_points) < self.seed_arc_size:
             pool = cands
         else:
@@ -187,10 +185,7 @@ def greedy_trial(plane: PlaneIndex, cfg: SearchConfig,
     The deadline (a ``time.monotonic()`` value) is checked before every
     added point; a trial it interrupts yields None.
     """
-    trial = _Trial(plane, rng, policy=cfg.candidate_policy,
-                   sample_size=cfg.sample_size,
-                   seed_arc_size=cfg.seed_size_for(trial_index))
-    points = trial.run(deadline)
+    points = _Trial(plane, cfg, rng, trial_index).run(deadline)
     return None if points is None else Arc(plane, points)
 
 

@@ -84,21 +84,16 @@ class PlaneIndex:
         """(...,) ids -> (..., 3) normalized triples."""
         return np.stack(self._coords(ids), axis=-1)
 
-    def ids_of_triples(self, t):
-        """(..., 3) normalized triples -> (...,) ids."""
-        q = self.q
-        x0, x1, x2 = t[..., 0], t[..., 1], t[..., 2]
-        return np.where(x0 == 1, 1 + q + x1 * q + x2,
-                        np.where(x1 == 1, 1 + x2, 0)).astype(self._dt)
-
-    def normalize_triples(self, t):
-        """Scale each nonzero triple so its leftmost nonzero entry is 1."""
-        f = self.field
-        t = np.asarray(t)
-        x0, x1 = t[..., 0], t[..., 1]
-        lead = np.where(x0 != 0, x0, np.where(x1 != 0, x1, t[..., 2]))
-        scale = f.inv_arr(np.where(lead != 0, lead, 1))
-        return f.mul_arr(t, scale[..., None])
+    def _ids_of(self, x0, x1, x2):
+        """Ids of the triples (x0, x1, x2), not necessarily normalized
+        (broadcast), read off each triple times the inverse of its leading
+        nonzero coordinate.  The zero triple gives id 0."""
+        f, q = self.field, self.q
+        lead0, lead1 = x0 != 0, x1 != 0
+        scale = f.inv_arr(np.where(lead0, x0, np.where(lead1, x1, 1)))
+        y, z = f.mul_arr(x1, scale), f.mul_arr(x2, scale)
+        return np.where(lead0, 1 + q + y * q + z,
+                        np.where(lead1, 1 + z, 0)).astype(self._dt)
 
     def point_id(self, coords) -> int:
         """Id of a (not necessarily normalized) nonzero coordinate triple."""
@@ -107,7 +102,7 @@ class PlaneIndex:
             raise ValueError(f"need three element indices in [0, {self.q})")
         if not t.any():
             raise ValueError("zero triple is not a projective point")
-        return int(self.ids_of_triples(self.normalize_triples(t)))
+        return int(self._ids_of(*t))
 
     # -- algebra -------------------------------------------------------------
 
@@ -121,22 +116,15 @@ class PlaneIndex:
         """Ids of the lines spanned by coordinate triples a and b (broadcast).
 
         For point inputs this is the joining line; since the construction is
-        self-dual the same routine yields the meet of two lines.  The cross
-        product l = a x b is scaled by the inverse of its leading nonzero
-        coordinate and mapped straight to its id, without building the
-        normalized triple.  Equal (proportional) inputs give l = 0 and id 0.
+        self-dual the same routine yields the meet of two lines.  Its triple
+        is the cross product a x b, 0 (id 0) for proportional inputs.
         """
-        f, q = self.field, self.q
+        f = self.field
         a0, a1, a2 = coords_a[..., 0], coords_a[..., 1], coords_a[..., 2]
         b0, b1, b2 = coords_b[..., 0], coords_b[..., 1], coords_b[..., 2]
-        l0 = f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1))
-        l1 = f.sub_arr(f.mul_arr(a2, b0), f.mul_arr(a0, b2))
-        l2 = f.sub_arr(f.mul_arr(a0, b1), f.mul_arr(a1, b0))
-        lead0, lead1 = l0 != 0, l1 != 0
-        scale = f.inv_arr(np.where(lead0, l0, np.where(lead1, l1, 1)))
-        y, z = f.mul_arr(l1, scale), f.mul_arr(l2, scale)
-        return np.where(lead0, 1 + q + y * q + z,
-                        np.where(lead1, 1 + z, 0)).astype(self._dt)
+        return self._ids_of(f.sub_arr(f.mul_arr(a1, b2), f.mul_arr(a2, b1)),
+                            f.sub_arr(f.mul_arr(a2, b0), f.mul_arr(a0, b2)),
+                            f.sub_arr(f.mul_arr(a0, b1), f.mul_arr(a1, b0)))
 
     def points_on_lines_arr(self, line_ids):
         """(...,) line ids -> (..., q+1) point ids, unsorted.
@@ -195,16 +183,18 @@ class PlaneIndex:
     # -- slot rows: a point's slots for every point of the plane ---------------
 
     def _origin_block(self):
-        """(q, q) slots through the origin (1, 0, 0) of the affine points,
-        block[u, v] for (1, u, v), in slot dtype; built once and cached,
-        64 rows at a time so its temporaries stay small."""
+        """(block, shift), built once and cached, both in slot dtype:
+        block[u, v] is the slot through the origin (1, 0, 0) of the affine
+        point (1, u, v), built 64 rows at a time so its temporaries stay
+        small, and shift[y, u] = u - y translates it (see slot_row)."""
         if self._block is None:
             q = self.q
             block = np.empty((q, q), dtype=self._slot_dt)
             for u in range(0, q, 64):
                 ids = np.arange(q + 1 + u * q, q + 1 + min(u + 64, q) * q)
                 block[u:u + 64] = self.join_slots(q + 1, ids).reshape(-1, q)
-            self._block = block
+            t = np.arange(q)
+            self._block = block, self.field.sub_arr(t, t[:, None]).astype(self._slot_dt)
         return self._block
 
     def slot_row(self, pid, out):
@@ -220,11 +210,11 @@ class PlaneIndex:
         if self._slot is not None:
             out[:] = self._slot[pid]
         elif pid > q:
-            f, t = self.field, np.arange(q)
+            block, shift = self._origin_block()
             y, z = divmod(pid - q - 1, q)
             out[:q + 1] = np.arange(q + 1)
-            cols = self._origin_block().take(f.sub_arr(t, z), axis=1)
-            cols.take(f.sub_arr(t, y), axis=0, out=out[q + 1:].reshape(q, q))
+            block.take(shift[z], axis=1).take(shift[y], axis=0,
+                                              out=out[q + 1:].reshape(q, q))
         else:
             out[:] = self.join_slots(pid, np.arange(self.n_points))
 
@@ -250,14 +240,12 @@ class PlaneIndex:
             if not self.has_tables():
                 raise MemoryBudgetExceeded(
                     f"incidence tables for q={self.q} exceed the table budget")
-            n, q, f = self.n_points, self.q, self.field
+            n, q = self.n_points, self.q
             slot = np.empty((n, n), dtype=np.uint8)
             for a in range(q + 1):
                 self.slot_row(a, slot[a])
             slot[q + 1:, :q + 1] = np.arange(q + 1)
-            t = np.arange(q)
-            shift = f.sub_arr(t, t[:, None])  # shift[y, u] = u - y
-            block = self._origin_block()
+            block, shift = self._origin_block()
             for z in range(q):
                 rows = slot[q + 1 + z::q, q + 1:].reshape(q, q, q)  # (y, u, v)
                 block.take(shift[z], axis=1).take(shift, axis=0, out=rows)

@@ -50,9 +50,9 @@ def test_table_env_override(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("row", ["3 4_0 1 1", "3 +4 1 1", "3 4 -0 1",
-                                 "3 4 2 1", "3 4 1 0", "3 4 1 6"])
+                                 "3 4 2 1", "3 4 1 0", "3 4 1 6", "3 2 1 1"])
 def test_table_rejects_loose_rows(tmp_path, row):
-    # only plain digits, exact 0 or 1 and table ids 1-5
+    # only plain digits, exact 0 or 1, table ids 1-5 and t2 >= 3
     path = tmp_path / "sizes.txt"
     path.write_text(f"2 4 1 1\n{row}\n")
     with pytest.raises(bounds.TableError) as err:

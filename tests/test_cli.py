@@ -263,6 +263,26 @@ def test_verify_signed_and_grouped_numbers(capsys, tmp_path):
     assert err.startswith("error: line 5")
 
 
+def test_verify_number_too_long(capsys, tmp_path):
+    # int() refuses more than 4300 digits: a parse error, not a failed check
+    path = tmp_path / "long.arc"
+    path.write_text(f"2 2 1 0 1\n1 {'1' * 5000} 0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2, column 3")
+
+
+def test_verify_header_power_checked_without_building_it(capsys, tmp_path):
+    # q = 4 against p^h = (10^1000)^20000: building p**h takes half a minute
+    path = tmp_path / "power.arc"
+    path.write_text(f"4 {10 ** 1000} 20000 {'0 ' * 20000}1\n1 0 0\n")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.monotonic() - t0 < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1") and "q = 4 is not" in err
+
+
 def test_verify_non_ascii(capsys, tmp_path):
     path = tmp_path / "accent.arc"
     path.write_bytes("2 2 1 0 1\n1 0 0\n0 1 0 # caf\u00e9\n".encode("utf-8"))

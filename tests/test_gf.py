@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from arcforge import gf
+from arcforge import certify, gf
 from arcforge.gf import Field, field_of_order
 
 
@@ -85,8 +85,10 @@ def test_construction_errors():
 
 
 def test_rejects_reducible_modulus():
-    with pytest.raises(ValueError):
+    with pytest.raises(gf.ReducibleModulus):
         Field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over GF(2)
+    # certify reports the same type, with its own exit code
+    assert certify.ReducibleModulus is gf.ReducibleModulus
 
 
 # ---------------------------------------------------------------------------
