@@ -246,21 +246,29 @@ def test_two_lines_meet_in_one_point(q):
         assert np.flatnonzero(on[:, l1] & on[:, l2]).tolist() == [meet]
 
 
-def test_point_id_accepts_unnormalized():
-    # every point of PG(2,5), and random nonzero triples over GF(9): a triple
-    # is its lead times the normalized triple of its id, and every nonzero
-    # multiple of it has the same id
-    pl5, pl9 = plane_of(5), plane_of(9)
+def test_normalization_idempotent():
+    # a triple normalizes to the triple of its id; normalizing that again
+    # changes nothing, and the raw triple is its lead times the normalized one
+    pl = plane_of(9)
+    f = pl.field
     raw = np.random.default_rng(3).integers(0, 9, size=(500, 3))
-    for pl, triples in [(pl5, pl5.triples_of_ids(np.arange(pl5.n_points))),
-                        (pl9, raw[(raw != 0).any(axis=1)])]:
-        f = pl.field
-        for t in triples:
-            pid = pl.point_id(t)
-            lead = t[np.flatnonzero(t)[0]]
-            assert (f.mul_arr(pl.triples_of_ids(pid), np.asarray(lead)) == t).all()
-            for s in range(2, pl.q):
-                assert pl.point_id(f.mul_arr(t, np.asarray(s))) == pid
+    raw = raw[(raw != 0).any(axis=1)]
+    once = pl.triples_of_ids(np.array([pl.point_id(t) for t in raw]))
+    twice = pl.triples_of_ids(np.array([pl.point_id(t) for t in once]))
+    assert (once == twice).all()
+    for t, n in zip(raw, once):
+        lead = t[np.flatnonzero(t)[0]]
+        assert (f.mul_arr(n, np.asarray(lead)) == t).all()
+
+
+def test_point_id_accepts_unnormalized():
+    pl = plane_of(5)
+    f = pl.field
+    for pid in range(pl.n_points):
+        t = pl.triples_of_ids(pid)
+        for s in range(2, 5):
+            scaled = f.mul_arr(t, np.asarray(s))
+            assert pl.point_id(scaled) == pid
 
 
 def test_memory_cap():
