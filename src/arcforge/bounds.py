@@ -58,7 +58,6 @@ class TableRow:
     q: int
     t2: int
     exact: bool
-    table_id: int
 
 
 class KnownTable:
@@ -66,8 +65,6 @@ class KnownTable:
 
     def __init__(self, rows: dict[int, TableRow]):
         self.rows = rows
-        self.q_min = min(rows)
-        self.q_max = max(rows)
 
     def __len__(self):
         return len(self.rows)
@@ -113,7 +110,7 @@ def load_table(path: str | None = None) -> KnownTable:
                                  "1 and table 1-5")
             if q in rows:
                 raise ValueError(f"line {lineno}: duplicate q = {q}")
-            rows[q] = TableRow(q, t2, bool(exact), tid)
+            rows[q] = TableRow(q, t2, bool(exact))
         if not rows:
             raise ValueError("no rows")
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
@@ -335,6 +332,12 @@ SQRT_BANDS: tuple = (
 
 LN_BAND = ("t2 < 0.9987*sqrt(q)*ln^0.75(q)", 0.9987, 23, 9109)
 
+# the conjectured bounds: (sqrt bands, ln bands), shaped as SQRT_BANDS, LN_BAND
+CONJECTURES = {
+    "ln075": ((), (("t2 < sqrt(q)*ln^0.75(q)", 1, 23, math.inf),)),
+    "five_sqrt": ((("t2 < 5*sqrt(q) (q <= 8192)", "<", 50, 0, 0, 8192, ()),), ()),
+}
+
 
 def _sqrt_band_holds(t2: int, op: str, coeff10: int, offset: int, q: int) -> bool:
     lhs = 10 * (t2 + offset)
@@ -344,11 +347,10 @@ def _sqrt_band_holds(t2: int, op: str, coeff10: int, offset: int, q: int) -> boo
     return l2 < r2 if op == "<" else l2 <= r2
 
 
-def check_theorem_bands(table: KnownTable | None = None) -> list[Violation]:
-    """Evaluate every inequality band over the table; empty means all hold."""
-    table = table or default_table()
+def _band_violations(table: KnownTable, sqrt_bands, ln_bands) -> list[Violation]:
+    """Every failing (band, q), band by band in the given order."""
     out: list[Violation] = []
-    for label, op, coeff10, offset, lo, hi, extras in SQRT_BANDS:
+    for label, op, coeff10, offset, lo, hi, extras in sqrt_bands:
         extra = set(extras)
         for q in table.qs():
             if not (lo <= q <= hi or q in extra):
@@ -356,39 +358,26 @@ def check_theorem_bands(table: KnownTable | None = None) -> list[Violation]:
             t2 = table.t2(q)
             if not _sqrt_band_holds(t2, op, coeff10, offset, q):
                 out.append(Violation(label, q, t2))
-    label, coeff, lo, hi = LN_BAND
-    for q in table.qs():
-        if lo <= q <= hi:
-            t2 = table.t2(q)
-            if not t2 < coeff * math.sqrt(q) * math.log(q) ** 0.75:
-                out.append(Violation(label, q, t2))
+    for label, coeff, lo, hi in ln_bands:
+        for q in table.qs():
+            if lo <= q <= hi:
+                t2 = table.t2(q)
+                if not t2 < coeff * math.sqrt(q) * math.log(q) ** 0.75:
+                    out.append(Violation(label, q, t2))
     return out
+
+
+def check_theorem_bands(table: KnownTable | None = None) -> list[Violation]:
+    """Evaluate every inequality band over the table; empty means all hold."""
+    return _band_violations(table or default_table(), SQRT_BANDS, (LN_BAND,))
 
 
 def check_conjecture(table: KnownTable | None = None,
                      which: str = "ln075") -> list[Violation]:
-    """Data check of the two conjectured bounds over the table range."""
-    table = table or default_table()
-    out: list[Violation] = []
-    if which == "ln075":
-        # t2 < sqrt(q) * ln^0.75 q for q >= 23
-        for q in table.qs():
-            if q < 23:
-                continue
-            t2 = table.t2(q)
-            if not t2 < math.sqrt(q) * math.log(q) ** 0.75:
-                out.append(Violation("t2 < sqrt(q)*ln^0.75(q)", q, t2))
-    elif which == "five_sqrt":
-        # t2 < 5*sqrt(q) for q <= 8192
-        for q in table.qs():
-            if q > 8192:
-                continue
-            t2 = table.t2(q)
-            if not _sqrt_band_holds(t2, "<", 50, 0, q):
-                out.append(Violation("t2 < 5*sqrt(q) (q <= 8192)", q, t2))
-    else:
+    """Data check of one of the two ``CONJECTURES`` over the table range."""
+    if which not in CONJECTURES:
         raise ValueError(f"unknown conjecture {which!r}")
-    return out
+    return _band_violations(table or default_table(), *CONJECTURES[which])
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +462,15 @@ def average_d(table: KnownTable | None = None) -> float:
     return sum(ds) / len(ds)
 
 
-def emit_stats_csv(out_file, table: KnownTable | None = None, c: float = 0.75,
-                   q_min: int = STATS_Q_MIN) -> int:
-    """Write the statistics rows as CSV; returns the row count.
+def emit_stats_csv(out_file, rows: list[BoundRecord], c: float = 0.75) -> int:
+    """Write the given statistics rows as CSV; returns the row count.
 
-    Reals carry 6 significant digits; B_q keeps its defining 2-decimal
-    form; A_q is empty where the multiplier is undefined (q > 9067).
+    ``c`` only names the D_{c} column.  Reals carry 6 significant digits;
+    B_q keeps its defining 2-decimal form; A_q is empty where the multiplier
+    is undefined (q > 9067).
     """
     writer = csv.writer(out_file, lineterminator="\n")
     writer.writerow(["q", "t2", "A_q", "B_q", f"D_{c:g}", "t_hat", "delta", "P_pct"])
-    rows = stats_rows(table, c=c, q_min=q_min)
     for r in rows:
         writer.writerow([
             r.q, r.t2, "" if r.big_a is None else r.big_a, f"{r.big_b:.2f}",

@@ -184,7 +184,7 @@ def cmd_stats(args) -> int:
     if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="ascii", newline="") as out:
-                bounds.emit_stats_csv(out, table, c=args.c, q_min=args.qmin)
+                bounds.emit_stats_csv(out, rows, c=args.c)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -224,9 +224,6 @@ class Field:
             raise ValueError(f"bad coefficient vector {coeffs!r}")
         return sum(c * self.p**i for i, c in enumerate(coeffs))
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
             raise ValueError(f"element index {a} outside [0, {self.q})")

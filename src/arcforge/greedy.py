@@ -15,10 +15,11 @@ sweep both shallow and deep randomization.
 
 A trial's randomness is a pure function of (master_seed, trial_index): each
 step draws exactly one integer to pick from a canonically ordered candidate
-pool, so searches are reproducible under any batching or parallel schedule.
-A time budget is checked before every added point, so it holds inside a
-trial too: a trial it interrupts yields no arc, and a search that has
-finished none raises ``BudgetExhausted``.  Without a budget nothing changes.
+pool, and ``search`` merges trials by index alone (its docstring states the
+rule), so a search reports the same under any ``jobs``.  A time budget is
+checked before every added point, so it holds inside a trial too: a trial
+it interrupts yields no arc, and a search that has finished none raises
+``BudgetExhausted``.  Without a budget nothing changes.
 
 Scoring is exact but incremental.  A trial is the coverage kernel
 ``arc.Coverage`` plus an RNG and a candidate policy: the kernel counts the
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,22 +200,22 @@ def _plane_for(cfg: SearchConfig) -> PlaneIndex:
 
 def _run_batch(plane: PlaneIndex, cfg: SearchConfig, indices: list[int],
                stop_at: int | None = None,
-               deadline: float | None = None) -> list[tuple[int, list[int]]]:
-    """(size, points) of the trials with the given indices, in index order.
+               deadline: float | None = None) -> list[list[int]]:
+    """Points of the complete arcs of the given trials, in index order.
 
     ``stop_at`` ends the loop after the trial that lands a small-enough arc
     and ``deadline`` ends it inside the trial that runs out the clock,
     which yields no result; later indices are simply not computed, which
-    the first-hit merge rule tolerates.
+    the merge rule in ``search`` tolerates.
     """
     results = []
     for i in indices:
-        arc = greedy_trial(plane, cfg, trial_rng(cfg.master_seed, i), i,
-                           deadline)
-        if arc is None:
+        rng = trial_rng(cfg.master_seed, i)
+        points = _Trial(plane, cfg, rng, i).run(deadline)
+        if points is None:
             break
-        results.append((len(arc.points), arc.points))
-        if stop_at is not None and len(arc.points) <= stop_at:
+        results.append(points)
+        if stop_at is not None and len(points) <= stop_at:
             break
     return results
 
@@ -228,7 +230,7 @@ def _init_worker(plane: PlaneIndex) -> None:
 
 
 def _worker_run(cfg: SearchConfig, indices: list[int], stop_at: int | None,
-                deadline: float | None) -> list[tuple[int, list[int]]]:
+                deadline: float | None) -> list[list[int]]:
     """Process-pool entry point: one share of a block on the parent's plane."""
     return _run_batch(_worker_plane, cfg, indices, stop_at=stop_at,
                       deadline=deadline)
@@ -245,9 +247,14 @@ def search(cfg: SearchConfig, jobs: int = 1,
            plane: PlaneIndex | None = None) -> SearchReport:
     """Run independent greedy trials and keep the smallest verified arc.
 
-    Deterministic for fixed (cfg, master_seed): per-trial streams derive
-    from (master_seed, trial_index) and the early-stop / merge rule depends
-    only on trial indices, so any ``jobs`` level yields the same result.
+    Merge rule: trials count in index order, up to the first index that did
+    not finish (the time budget ran out) or the first that reaches the
+    target, whichever comes first; the best arc is the smallest of those,
+    ties going to the lowest index.  Trial streams derive from (master_seed,
+    index), so any ``jobs`` level yields the same report.  Each block of
+    ``jobs * _BLOCK_TRIALS`` indices is dealt round-robin to the workers
+    (run inline when ``jobs`` is 1).
+
     This is the one place a search is set up: the plane and, when they fit
     (``has_tables``), its dense tables are built here once, and with
     ``jobs > 1`` every worker starts from them.  The tables change a
@@ -265,71 +272,52 @@ def search(cfg: SearchConfig, jobs: int = 1,
     block = jobs * _BLOCK_TRIALS
     deadline = None if cfg.time_budget is None else t0 + cfg.time_budget
 
-    results: list[tuple[int, list[int]]] = []
-    budget_dead = False
-    done = 0
+    results: list[list[int]] = []
+    hit = False
     pool = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                    initargs=(plane,))
     try:
-        while done < cfg.trials:
-            if deadline is not None and time.monotonic() > deadline:
-                if not results:
-                    raise BudgetExhausted(
-                        "time budget expired before any trial completed")
-                budget_dead = True
-                break
-            idxs = list(range(done, min(done + block, cfg.trials)))
+        for lo in range(0, cfg.trials, block):
+            idxs = range(lo, min(lo + block, cfg.trials))
+            chunks = [list(idxs[w::jobs]) for w in range(min(jobs, len(idxs)))]
             if pool is None:
-                results.extend(_run_batch(plane, cfg, idxs,
-                                          stop_at=target, deadline=deadline))
+                outs = [_run_batch(plane, cfg, chunks[0], stop_at=target,
+                                   deadline=deadline)]
             else:
-                chunks = [c for c in (idxs[i::jobs] for i in range(jobs)) if c]
                 futs = [pool.submit(_worker_run, cfg, c, target, deadline)
                         for c in chunks]
-                merged: dict[int, tuple[int, list[int]]] = {}
-                for c, f in zip(chunks, futs):
-                    for i, res in zip(c, f.result()):
-                        merged[i] = res
-                # workers stop early on a hit or the deadline; keeping the
-                # run of consecutive indices keeps every index up to the
-                # first hit, so the merge rule below sees what jobs=1 sees
-                for i in idxs:
-                    if i not in merged:
-                        break
-                    results.append(merged[i])
-            done = len(results)
-            if target is not None and any(s <= target for s, _ in results):
+                outs = [f.result() for f in futs]
+            for k in range(len(idxs)):
+                out, j = outs[k % jobs], k // jobs  # index lo + k
+                if j == len(out):  # its worker stopped before it
+                    break
+                results.append(out[j])
+                hit = target is not None and len(out[j]) <= target
+                if hit:
+                    break
+            if hit or len(results) < idxs.stop:
                 break
     finally:
         if pool is not None:
             pool.shutdown()
 
-    # merge rule: truncate at the first target hit, then min size with ties
-    # to the lowest trial index -- identical under any schedule
-    cut = len(results)
-    if target is not None:
-        for i, (s, _) in enumerate(results):
-            if s <= target:
-                cut = i + 1
-                break
-    results = results[:cut]
-    best_trial, (best_size, best_points) = min(
-        enumerate(results), key=lambda t: (t[1][0], t[0]))
-    histogram: dict[int, int] = {}
-    for s, _ in results:
-        histogram[s] = histogram.get(s, 0) + 1
-
-    best_arc = Arc(plane, best_points)
-    ok_complete, _ = verify_complete(best_arc)  # raises NotAnArc if invalid
+    if not results:
+        raise BudgetExhausted("time budget expired before any trial completed")
+    # min keeps the first of equals: ties go to the lowest index
+    best_trial = min(range(len(results)), key=lambda i: len(results[i]))
+    best_points = results[best_trial]
+    ok_complete, _ = verify_complete(Arc(plane, best_points))  # raises NotAnArc
     if not ok_complete:
         raise AssertionError("search produced an incomplete arc")
 
     return SearchReport(
-        q=cfg.q, best_size=best_size, best_points=list(best_points),
+        q=cfg.q, best_size=len(best_points), best_points=best_points,
         best_trial=best_trial, trials_run=len(results),
-        master_seed=cfg.master_seed, histogram=histogram,
-        elapsed=time.monotonic() - t0, budget_exhausted=budget_dead,
+        master_seed=cfg.master_seed,
+        histogram=dict(Counter(len(points) for points in results)),
+        elapsed=time.monotonic() - t0,
+        budget_exhausted=not hit and len(results) < cfg.trials,
     )

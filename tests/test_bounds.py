@@ -33,7 +33,7 @@ def test_table_checksum_pinned():
 
 def test_table_shape(table):
     assert len(table) == 1180
-    assert table.q_min == 2 and table.q_max == 9109
+    assert table.qs()[0] == 2 and table.qs()[-1] == 9109
     exact_qs = [q for q in table.qs() if table.get(q).exact]
     assert exact_qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
                        29, 31, 32]
@@ -201,7 +201,7 @@ def test_theorem_bands_clean(table):
 
 def test_theorem_bands_catch_mutation(table):
     rows = dict(table.rows)
-    rows[2] = bounds.TableRow(2, 6, True, 1)
+    rows[2] = bounds.TableRow(2, 6, True)
     mutated = bounds.KnownTable(rows)
     bad = check_theorem_bands(mutated)
     assert any(v.q == 2 and "4*sqrt(q)" in v.band for v in bad)
@@ -259,7 +259,7 @@ def test_stats_param_validation(table):
 
 def test_csv_emission(table):
     buf = io.StringIO()
-    n = emit_stats_csv(buf, table)
+    n = emit_stats_csv(buf, stats_rows(table))
     lines = buf.getvalue().split("\n")
     assert lines[0] == "q,t2,A_q,B_q,D_0.75,t_hat,delta,P_pct"
     assert n == len(stats_rows(table))

@@ -141,14 +141,14 @@ def test_gf9_inverses_exhaustive():
 
 def test_neg_characteristic_two():
     f = Field(2, 3)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.neg(a) == a
         assert f.add(a, f.neg(a)) == 0
 
 
 def test_gf9_additive_inverses():
     f = Field(3, 2)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.add(a, f.neg(a)) == 0
 
 
@@ -192,7 +192,7 @@ def test_multiplicative_group_order(p, h):
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 2), (2, 4), (5, 2), (13, 1)])
 def test_coeff_roundtrip(p, h):
     f = Field(p, h)
-    for a in f.elements():
+    for a in range(f.q):
         assert f.element(f.coeffs(a)) == a
 
 

@@ -166,6 +166,19 @@ def test_search_jobs_early_stop_matches_serial():
     assert par.best_points == seq.best_points
 
 
+@pytest.mark.parametrize("trials", [1000, 128])
+def test_search_hit_on_a_block_boundary(trials):
+    # trial 127 is the first hit (target 7) and the last index of a block for
+    # jobs = 1 and 2; the loop must stop there, and at trials = 128 it is the
+    # last allowed trial, which is a hit and not a spent budget
+    cfg = SearchConfig(q=11, trials=trials, master_seed=389)
+    seq = search(cfg, jobs=1)
+    assert (seq.best_trial, seq.trials_run) == (127, 128)
+    assert not seq.budget_exhausted
+    assert "histogram 7:1 8:127\n" in seq.summary()
+    assert search(cfg, jobs=2).summary() == seq.summary()
+
+
 def test_search_jobs_respects_time_budget():
     # one worker's share of a block (64 sampled trials at q = 256, which
     # has no tables, about 0.07 s each) takes seconds; the workers must stop
