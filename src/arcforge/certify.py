@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import gf
 from .arc import Arc, NotAnArc, verify_complete
 from .gf import ReducibleModulus
-from .plane import build_plane, check_point_cap
+from .plane import ZeroTriple, build_plane, check_point_cap
 
 
 class ParseError(ValueError):
@@ -36,10 +36,6 @@ class ParseError(ValueError):
 
 class DuplicatePoint(ValueError):
     """Two body lines name the same projective point."""
-
-
-class ZeroTriple(ValueError):
-    """A body line is the zero triple, which is not a projective point."""
 
 
 @dataclass(frozen=True)
@@ -144,13 +140,12 @@ def read_certificate(path) -> tuple[Arc, bool | None]:
                 claimed_complete = fields[1] in ("1", "true")
             continue
         triple = _parse_ints(stripped, lineno)
-        if len(triple) != 3:
-            raise ParseError(f"expected 3 coordinates, got {len(triple)}", lineno)
-        if any(not 0 <= x < q for x in triple):
-            raise ParseError(f"coordinate outside [0, {q})", lineno)
-        if not any(triple):
-            raise ZeroTriple(f"line {lineno}: zero triple")
-        pid = plane.point_id(triple)
+        try:
+            pid = plane.point_id(triple)
+        except ZeroTriple:
+            raise ZeroTriple(f"line {lineno}: zero triple") from None
+        except ValueError as exc:  # not three element indices in [0, q)
+            raise ParseError(str(exc), lineno) from None
         if pid in seen:
             raise DuplicatePoint(
                 f"line {lineno} repeats the point of line {seen[pid]}")

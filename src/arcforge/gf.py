@@ -309,7 +309,9 @@ class Field:
 
     def sub_arr(self, a, b):
         if self.h == 1:
-            return (a - b) % self.p
+            d = a - b  # in (-p, p): a conditional add is cheaper than % p
+            d += self.p * (d < 0)
+            return d
         return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):

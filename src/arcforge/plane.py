@@ -13,7 +13,9 @@ indices), which makes the id <-> triple map pure arithmetic:
 
 so nothing per-point is ever stored.  The same map serves lines.  A line
 lists its points from its affine slope: in x0 = 1 it is x2 = c + s*x1 (or
-x1 = a), so its affine points come out normalized.
+x1 = a), so its affine points come out normalized.  Taking x1 = g^j in
+turn, the products s*g^j are one window of the field's antilog table, so a
+line takes one row copy and no product per point.
 
 The q+1 lines through a point are numbered 0..q by direction (its *slots*):
 through an affine point a line sits at the id of its point at infinity, so
@@ -38,6 +40,10 @@ TABLE_BYTE_CAP = 300_000_000
 
 class MemoryBudgetExceeded(MemoryError):
     """The plane would have more points than DEFAULT_POINT_CAP."""
+
+
+class ZeroTriple(ValueError):
+    """The zero triple, which is not a projective point."""
 
 
 def check_point_cap(q: int) -> None:
@@ -96,12 +102,18 @@ class PlaneIndex:
                         np.where(lead1, 1 + z, 0)).astype(self._dt)
 
     def point_id(self, coords) -> int:
-        """Id of a (not necessarily normalized) nonzero coordinate triple."""
-        t = np.asarray(coords, dtype=self._dt)
-        if t.shape != (3,) or t.min() < 0 or t.max() >= self.q:
+        """Id of a (not necessarily normalized) nonzero coordinate triple.
+
+        Raises ZeroTriple for the zero triple and ValueError for anything
+        else that is not three element indices in [0, q), whatever the size
+        of a coordinate: the range is checked before the int32 conversion.
+        """
+        t = np.asarray(coords)
+        if t.shape != (3,) or not all(0 <= x < self.q for x in t.tolist()):
             raise ValueError(f"need three element indices in [0, {self.q})")
+        t = t.astype(self._dt)
         if not t.any():
-            raise ValueError("zero triple is not a projective point")
+            raise ZeroTriple("zero triple is not a projective point")
         return int(self._ids_of(*t))
 
     # -- algebra -------------------------------------------------------------
@@ -132,9 +144,12 @@ class PlaneIndex:
         A line with l2 != 0 holds (1, t, c + s*t) for t in GF(q), with slope
         s = -l1/l2 and c = -l0/l2, then (0, 1, s); a vertical line (l2 = 0)
         holds (1, a, t) with a = -l0/l1, then (0, 0, 1); the line at infinity
-        (1, 0, 0) holds (0, 1, t) and (0, 0, 1).  That is one inverse per
-        line and one product and one sum per point.  By self-duality the
-        same call lists the lines through points.
+        (1, 0, 0) holds (0, 1, t) and (0, 0, 1).  A steep line lists t = g^j
+        for j < q - 1, then t = 0: its products s*g^j are one window of the
+        antilog table, exp_z[log s + j] (for s = 0 the window lies in the
+        table's zero tail), so a line costs one inverse and one window row,
+        and a point one sum and one offset.  By self-duality the same call
+        lists the lines through points.
         """
         f, q, dt = self.field, self.q, self._dt
         lids = np.asarray(line_ids)
@@ -143,14 +158,25 @@ class PlaneIndex:
         inv = f.inv_arr(np.where(steep, l2, np.where(l1 != 0, l1, 1)))
         c = f.mul_arr(f.neg_arr(l0), inv)  # intercept, or a when vertical
         s = f.mul_arr(f.neg_arr(l1), inv)
-        t = np.arange(q, dtype=dt)
-        out = np.empty((len(l0), q + 1), dtype=dt)
-        np.add(f.add_arr(c[:, None], f.mul_arr(s[:, None], t)), t * q + 1 + q,
-               out=out[:, :q])
+        # win[i] is the window exp_z[i:i+q+1], a view (sliding_window_view
+        # builds the same view at many times the per-call cost).  Column
+        # j < q-1 of out holds s*g^j, then c + s*g^j, then the id of
+        # (1, g^j, c + s*g^j); whole rows keep the in-place ops contiguous.
+        e = f._exp_z
+        win = np.ndarray((3 * q + 1, q + 1), e.dtype, e, strides=2 * e.strides)
+        out = win[f._log_z[s]]
+        if f.p == 2:
+            out ^= c[:, None]
+        else:
+            out = f.add_arr(out, c[:, None])
+        out += e[:q + 1] * q + (1 + q)
+        out[:, q - 1] = 1 + q + c
         out[:, q] = 1 + s
         flat = np.flatnonzero(~steep)
-        out[flat, :q] = np.where(l1[flat, None] != 0, 1 + q + c[flat, None] * q, 1) + t
-        out[flat, q] = 0
+        if len(flat):  # vertical lines, the line at infinity among them
+            t = np.arange(q, dtype=dt)
+            out[flat, :q] = np.where(l1[flat, None] != 0, 1 + q + c[flat, None] * q, 1) + t
+            out[flat, q] = 0
         return out.reshape(lids.shape + (q + 1,))
 
     def join_slots(self, pids, ids):

@@ -31,10 +31,12 @@ def oracle_is_arc(pl, pts):
     return int(per_line.max(initial=0)) <= 2
 
 
-def oracle_covered(pl, pts):
-    """Covered set: arc points plus every point of every >=2-point line."""
-    tri = pl.triples_of_ids(np.arange(pl.n_points))
-    inc = pl.dot_triples(tri[:, None, :], tri[None, :, :]) == 0  # point x line
+def oracle_covered(pl, pts, inc=None):
+    """Covered set: arc points plus every point of every >=2-point line;
+    inc is the raw point x line incidence, computed here when not given."""
+    if inc is None:
+        tri = pl.triples_of_ids(np.arange(pl.n_points))
+        inc = pl.dot_triples(tri[:, None, :], tri[None, :, :]) == 0
     covered = np.zeros(pl.n_points, dtype=bool)
     covered[list(pts)] = True
     arc_per_line = inc[list(pts), :].sum(axis=0)
@@ -151,23 +153,26 @@ def test_verify_complete_requires_arc():
         verify_complete(bad)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_verify_complete_matches_oracle(q):
-    pl = plane_of(q)
+    # one raw incidence matrix per q serves both oracles
+    pl, inc = plane_and_incidence(q)
     rng = np.random.default_rng(q * 13)
     for _ in range(30):
         pts = []
-        cov = oracle_covered(pl, pts)
-        while not cov.all():
+        cov = oracle_covered(pl, pts, inc)
+        while True:
+            # every prefix, incomplete ones included, lists the same ids
+            ok, unc = verify_complete(Arc(pl, pts))
+            assert ok == cov.all() and unc == np.flatnonzero(~cov).tolist()
+            if ok:
+                break
             pts.append(int(rng.choice(np.flatnonzero(~cov))))
-            cov = oracle_covered(pl, pts)
-        a = Arc(pl, pts)
-        ok, unc = verify_complete(a)
-        assert ok and unc == []
-        # soundness: adding any outside point breaks the arc property
-        for extra in range(pl.n_points):
-            if extra not in pts:
-                assert not oracle_is_arc(pl, pts + [extra])
+            cov = oracle_covered(pl, pts, inc)
+        # soundness: adding any outside point puts three points on a line
+        per_line = inc[pts].sum(axis=0)
+        outside = np.setdiff1d(np.arange(pl.n_points), pts)
+        assert ((inc[outside] + per_line).max(axis=1) > 2).all()
 
 
 @pytest.mark.parametrize("q", [5, 8, 9])

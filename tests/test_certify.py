@@ -197,6 +197,17 @@ def test_zero_triple(tmp_path):
         read_and_verify(path)
 
 
+@pytest.mark.parametrize("body", ["1 0 2", "1 0", "1 0 0 1", f"0 {2 ** 31} 1",
+                                  f"0 1 {10 ** 20}"])
+def test_bad_triple_is_a_parse_error_at_its_line(tmp_path, body):
+    # point_id decides the range and the count; read_certificate adds the line
+    path = tmp_path / "bad.arc"
+    path.write_text(f"2 2 1 0 1\n1 0 0\n{body}\n")
+    with pytest.raises(ParseError) as err:
+        read_and_verify(path)
+    assert err.value.line == 3
+
+
 def test_duplicate_point(tmp_path):
     # projectively equal triples (1,1,1) and (2,2,2) over GF(3)
     path = tmp_path / "dup.arc"

@@ -272,6 +272,15 @@ def test_verify_number_too_long(capsys, tmp_path):
     assert err.startswith("error: line 2, column 3")
 
 
+def test_verify_coordinate_past_int64(capsys, tmp_path):
+    # a 20-digit coordinate is out of range, not an OverflowError traceback
+    path = tmp_path / "wide.arc"
+    path.write_text(f"2 2 1 0 1\n1 0 0\n0 {10 ** 19} 1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3")
+
+
 def test_verify_header_power_checked_without_building_it(capsys, tmp_path):
     # q = 4 against p^h = (10^1000)^20000: building p**h takes half a minute
     path = tmp_path / "power.arc"

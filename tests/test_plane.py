@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from arcforge import certify
 from arcforge.gf import Field, factor_prime_power, field_of_order
-from arcforge.plane import MemoryBudgetExceeded, build_plane
+from arcforge.plane import MemoryBudgetExceeded, ZeroTriple, build_plane
 
 
 def plane_of(q):
@@ -201,7 +202,7 @@ def test_every_point_on_exactly_q_plus_1_lines(q):
 
 
 @pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 16, 25, 27, 49,
-                               243, 256, 257, 625, 729, 1024])
+                               243, 256, 257, 541, 625, 729, 1024, 2039, 3125])
 def test_line_point_lists(q):
     pl = plane_of(q)
     exhaustive = q <= 49
@@ -269,6 +270,22 @@ def test_point_id_accepts_unnormalized():
         for s in range(2, 5):
             scaled = f.mul_arr(t, np.asarray(s))
             assert pl.point_id(scaled) == pid
+
+
+@pytest.mark.parametrize("coords", [[10 ** 20, 0, 0], [2 ** 31, 0, 0], [0, 5, 0],
+                                    [-1, 0, 0], [1, 0], [[1, 0, 0]]])
+def test_point_id_rejects_with_value_error(coords):
+    # the range is checked on the Python ints, before the int32 conversion
+    with pytest.raises(ValueError) as err:
+        plane_of(5).point_id(coords)
+    assert type(err.value) is ValueError
+
+
+def test_point_id_zero_triple():
+    with pytest.raises(ZeroTriple):
+        plane_of(5).point_id([0, 0, 0])
+    # certify reports the same type, with its own exit code
+    assert certify.ZeroTriple is ZeroTriple
 
 
 def test_memory_cap():
