@@ -113,14 +113,14 @@ def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
 class Coverage:
     """Incremental secant coverage of a growing arc (single-owner).
 
-    Holds the covered mask and its popcount, the uncovered ids in ascending
-    order, the arc's points and, at i*(q+1) + s, the uncovered count
-    (int32) of the line at slot s of the i-th arc point's pencil, the slots
-    numbering lines by direction (see PlaneIndex.join_slots).  A tangent
-    lies in one pencil; a secant reads 0 in both of its own.  Joins are
-    slots: from a slot row per arc point (for every x, the slot of line ax)
-    while q+2 rows fit TABLE_BYTE_CAP, else from coordinates via
-    PlaneIndex.join_slots.  No step lists a pencil.
+    Holds the covered mask, the uncovered ids in ascending order (the
+    covered count is read from them), the arc's points and, at i*(q+1) + s,
+    the uncovered count (int32) of the line at slot s of the i-th arc
+    point's pencil, the slots numbering lines by direction (see
+    PlaneIndex.join_slots).  A tangent lies in one pencil; a secant reads 0
+    in both of its own.  Joins are slots: from a slot row per arc point (for
+    every x, the slot of line ax) while q+2 rows fit TABLE_BYTE_CAP, else
+    from coordinates via PlaneIndex.join_slots.  No step lists a pencil.
 
     Working memory is bounded and reused: gains and add work in blocks of
     at most _BLOCK elements, in scratch arrays the instance keeps (grown to
@@ -132,7 +132,6 @@ class Coverage:
     def __init__(self, plane: PlaneIndex):
         self.plane = plane
         self.covered = np.zeros(plane.n_points, dtype=bool)
-        self.covered_count = 0
         self.arc_points: list[int] = []
         q, n = plane.q, plane.n_points
         self._counts = np.zeros((q + 2) * (q + 1), dtype=np.int32)
@@ -172,8 +171,13 @@ class Coverage:
                                   + self._base[:len(pts)]]
         return out
 
+    @property
+    def covered_count(self) -> int:
+        """Points covered so far: those off the uncovered list."""
+        return self.plane.n_points - self._m
+
     def is_complete(self) -> bool:
-        return self.covered_count == self.plane.n_points
+        return self._m == 0
 
     def uncovered_ids(self) -> np.ndarray:
         """Ascending ids of the uncovered points, as a new array."""
@@ -240,7 +244,6 @@ class Coverage:
             # old arc points once; pid's own bring the new secants to 0
             newly = ids[hit]
             self.covered[newly] = True
-            self.covered_count += len(newly)
             rest = ids[np.logical_not(hit, out=hit)]
             unc[kept:kept + len(rest)] = rest
             kept += len(rest)

@@ -384,41 +384,23 @@ def check_conjecture(table: KnownTable | None = None,
 # oscillation statistics
 # ---------------------------------------------------------------------------
 
-# (q_lo, q_hi, low, high): open bands for D_q(0.75), binned by thousands
-D_BANDS = (
-    (173, 1000, 0.946, 0.9634),
-    (1000, 2000, 0.953, 0.9605),
-    (2000, 3000, 0.950, 0.9595),
-    (3000, 4000, 0.950, 0.9588),
-    (4000, 5000, 0.951, 0.9584),
-    (5000, 6000, 0.950, 0.9579),
-    (6000, 7000, 0.951, 0.9577),
-    (7000, 8000, 0.947, 0.9573),
-    (8000, 10**9, 0.949, 0.9573),
+# (q_lo, q_hi, D band, P_pct band): open bands for D_q(0.75) and P_pct,
+# binned by thousands from the first row of the statistics range
+_OBS_BANDS = (
+    (173, 1000, (0.946, 0.9634), (-0.94, 0.79)),
+    (1000, 2000, (0.953, 0.9605), (-0.28, 0.49)),
+    (2000, 3000, (0.950, 0.9595), (-0.52, 0.38)),
+    (3000, 4000, (0.950, 0.9588), (-0.57, 0.32)),
+    (4000, 5000, (0.951, 0.9584), (-0.48, 0.27)),
+    (5000, 6000, (0.950, 0.9579), (-0.59, 0.22)),
+    (6000, 7000, (0.951, 0.9577), (-0.46, 0.20)),
+    (7000, 8000, (0.947, 0.9573), (-0.88, 0.16)),
+    (8000, 10**9, (0.949, 0.9573), (-0.66, 0.16)),
 )
 
 DELTA_BAND = (-3.70, 0.81)
 
-P_BANDS = (
-    (173, 1000, -0.94, 0.79),
-    (1000, 2000, -0.28, 0.49),
-    (2000, 3000, -0.52, 0.38),
-    (3000, 4000, -0.57, 0.32),
-    (4000, 5000, -0.48, 0.27),
-    (5000, 6000, -0.59, 0.22),
-    (6000, 7000, -0.46, 0.20),
-    (7000, 8000, -0.88, 0.16),
-    (8000, 10**9, -0.66, 0.16),
-)
-
-STATS_Q_MIN = 173
-
-
-def _band_for(bands, q):
-    for lo, hi, a, b in bands:
-        if lo <= q < hi:
-            return a, b
-    return None
+STATS_Q_MIN = _OBS_BANDS[0][0]
 
 
 def stats_rows(table: KnownTable | None = None, *, c: float = 0.75,
@@ -443,16 +425,16 @@ def stats_rows(table: KnownTable | None = None, *, c: float = 0.75,
 
 def check_observations(table: KnownTable | None = None) -> list[Violation]:
     """Row-wise D/delta/P band checks over the statistics range."""
+    delta_label = "delta in ({:.2f}, {:.2f})".format(*DELTA_BAND)
     out: list[Violation] = []
     for rec in stats_rows(table):
-        band = _band_for(D_BANDS, rec.q)
-        if band and not band[0] < rec.d075 < band[1]:
-            out.append(Violation(f"D(0.75) in ({band[0]}, {band[1]})", rec.q, rec.t2))
+        d, p = next((d, p) for lo, hi, d, p in _OBS_BANDS if lo <= rec.q < hi)
+        if not d[0] < rec.d075 < d[1]:
+            out.append(Violation(f"D(0.75) in ({d[0]}, {d[1]})", rec.q, rec.t2))
         if not DELTA_BAND[0] < rec.delta < DELTA_BAND[1]:
-            out.append(Violation("delta in (-3.70, 0.81)", rec.q, rec.t2))
-        band = _band_for(P_BANDS, rec.q)
-        if band and not band[0] < rec.p_pct < band[1]:
-            out.append(Violation(f"P_pct in ({band[0]}, {band[1]})", rec.q, rec.t2))
+            out.append(Violation(delta_label, rec.q, rec.t2))
+        if not p[0] < rec.p_pct < p[1]:
+            out.append(Violation(f"P_pct in ({p[0]}, {p[1]})", rec.q, rec.t2))
     return out
 
 

@@ -256,7 +256,8 @@ class PlaneIndex:
     def incidence_tables(self):
         """(slot,): the slot table, built once and cached.
 
-        slot[a, x] (uint8) is join_slots(a, x), so slot[a] is slot_row(a).
+        slot[a, x] is join_slots(a, x) in the slot dtype (one byte at these
+        q), so slot[a] is slot_row(a).
         The affine rows with one z are filled together, as the origin's
         block with its columns translated by z and its rows by every y;
         the q+1 rows at infinity come from slot_row.  Only available when
@@ -267,7 +268,7 @@ class PlaneIndex:
                 raise MemoryBudgetExceeded(
                     f"incidence tables for q={self.q} exceed the table budget")
             n, q = self.n_points, self.q
-            slot = np.empty((n, n), dtype=np.uint8)
+            slot = np.empty((n, n), dtype=self._slot_dt)
             for a in range(q + 1):
                 self.slot_row(a, slot[a])
             slot[q + 1:, :q + 1] = np.arange(q + 1)

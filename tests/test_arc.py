@@ -599,3 +599,10 @@ def test_gains_of_no_candidates(source, monkeypatch):
         g = cov.gains(np.array([], dtype=np.int64))
         assert g.dtype == np.int64 and g.shape == (0,)
         cov.add(pid)
+
+
+@pytest.mark.parametrize("points, error", [([7], ValueError), ([1, 1], NotAnArc)])
+def test_arc_rejects_bad_points(points, error):
+    # PG(2,2) has 7 points: id 7 is out of range, a repeat is no arc
+    with pytest.raises(error):
+        Arc(plane_of(2), points)

@@ -83,6 +83,18 @@ def test_table_faults_raise_one_type_naming_the_path(tmp_path, content):
 # lower bound
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: default_table().t2(6), OutOfRange),
+    (lambda: lower_bound(6), ValueError),
+    (lambda: exceeds_lower_bound(6, 5), ValueError),
+    (lambda: compute_record(7, 2), ValueError),  # below any arc's size
+], ids=["t2", "lower_bound", "exceeds_lower_bound", "compute_record"])
+def test_bounds_reject_bad_input(call, error):
+    # 6 is not a prime power
+    with pytest.raises(error):
+        call()
+
+
 def test_lower_bound_examples():
     assert lower_bound(2) == pytest.approx(3.0)
     assert lower_bound(9) == pytest.approx(math.sqrt(27) + 0.5)
@@ -205,6 +217,14 @@ def test_theorem_bands_catch_mutation(table):
     mutated = bounds.KnownTable(rows)
     bad = check_theorem_bands(mutated)
     assert any(v.q == 2 and "4*sqrt(q)" in v.band for v in bad)
+
+
+def test_theorem_bands_catch_the_ln_band(table):
+    rows = dict(table.rows)
+    rows[173] = bounds.TableRow(173, 60, False)
+    bad = check_theorem_bands(bounds.KnownTable(rows))
+    assert Violation(bounds.LN_BAND[0], 173, 60) in bad
+    assert bounds.LN_BAND[0] == "t2 < 0.9987*sqrt(q)*ln^0.75(q)"
 
 
 def test_857_fits_the_4sqrt_band():

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import time
+from importlib import resources
 
 import pytest
 
@@ -109,6 +110,14 @@ def test_search_dead_budget(capsys):
     code, _, err = run(capsys, "search", "--q", "9", "--trials", "10",
                        "--time-budget", "0")
     assert code == 1 and "budget" in err
+
+
+def test_search_budget_ends_a_long_run(capsys):
+    # no target can stop it, so the budget does, with the best so far
+    code, out, _ = run(capsys, "search", "--q", "49", "--trials", "1000000",
+                       "--target", "0", "--time-budget", "0.3")
+    assert code == 0
+    assert out.splitlines()[-1] == "budget_exhausted 1"
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])
@@ -305,6 +314,29 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty certificate"),
+    ("7 7 1\n", "header needs q p h and h+1 modulus coefficients"),
+    ("9 3 2 2 1\n1 0 0\n", "expected 3 modulus coefficients, got 2"),
+    # the field's own ValueError, reported at the header
+    ("9 3 2 1 0 2\n1 0 0\n", "modulus must be monic of degree 2"),
+], ids=["empty", "short-header", "coefficient-count", "not-monic"])
+def test_verify_header_faults(capsys, tmp_path, text, message):
+    path = tmp_path / "head.arc"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line 1, column 1: {message}\n"
+
+
+def test_verify_skips_blank_lines(capsys, tmp_path):
+    path = tmp_path / "gaps.arc"
+    path.write_text("7 7 1 0 1\n\n\n1 0 0\n\n0 1 0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == ""
+    assert "arc: yes\ncomplete: no\nsize: 2\n" in out
+
+
 # ---------------------------------------------------------------------------
 # bounds / table / stats
 # ---------------------------------------------------------------------------
@@ -352,6 +384,33 @@ def test_stats_csv(capsys, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("q,t2,")
     assert len(lines) > 1000
+
+
+def test_stats_csv_other_exponent(capsys, tmp_path):
+    csv = tmp_path / "stats.csv"
+    code, out, _ = run(capsys, "stats", "--c", "0.5", "--csv", str(csv))
+    assert code == 0
+    assert "average_D: 1.60995\n" in out
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "q,t2,A_q,B_q,D_0.5,t_hat,delta,P_pct"
+    assert lines[1].startswith("173,43,9,3.27,1.44013,")
+
+
+@pytest.mark.parametrize("argv", [[], ["--c", "0.5"]], ids=["default", "c0.5"])
+def test_stats_checks_the_bands_whatever_the_exponent(capsys, tmp_path,
+                                                      monkeypatch, argv):
+    # the bands hold for the default rows, which --c and --qmin do not change
+    text = (resources.files("arcforge") / "data" / "known_sizes.txt").read_text()
+    assert "\n173 43 0 1\n" in text
+    path = tmp_path / "sizes.txt"
+    path.write_text(text.replace("\n173 43 0 1\n", "\n173 50 0 1\n"))
+    monkeypatch.setenv("ARCFORGE_TABLE_PATH", str(path))
+    code, out, _ = run(capsys, "stats", *argv)
+    assert code == 1
+    assert "band_violations: 3\n" in out
+    assert out.endswith("  q=173: D(0.75) in (0.946, 0.9634)\n"
+                        "  q=173: delta in (-3.70, 0.81)\n"
+                        "  q=173: P_pct in (-0.94, 0.79)\n")
 
 
 def test_stats_csv_in_missing_directory(capsys, tmp_path):

@@ -84,6 +84,17 @@ def test_construction_errors():
         field_of_order(12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Field(3, 2, [1, 0]),      # degree 1, not 2
+    lambda: Field(3, 2, [1, 5, 1]),   # coefficient 5 outside GF(3)
+    lambda: Field(3, 2).element([3]),
+    lambda: Field(3, 2).add(9, 0),    # GF(9) indices are 0..8
+], ids=["short-modulus", "modulus-coefficient", "element", "index"])
+def test_bad_field_input_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_rejects_reducible_modulus():
     with pytest.raises(gf.ReducibleModulus):
         Field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over GF(2)
@@ -129,6 +140,11 @@ def test_scalar_examples():
             assert f.coeffs(f.mul(a, b)) == tuple(expect)
         assert (f.mul_arr(pairs[:, 0], pairs[:, 1])
                 == [f.mul(a, b) for a, b in pairs.tolist()]).all()
+
+
+def test_negative_power_is_the_inverse():
+    f = Field(3, 2)
+    assert f.pow(2, -1) == f.inv(2)
 
 
 def test_gf9_inverses_exhaustive():
@@ -260,3 +276,7 @@ def test_prime_power_factoring():
     assert gf.factor_prime_power(9109) == (9109, 1)
     assert gf.factor_prime_power(6) is None
     assert gf.factor_prime_power(1) is None
+
+
+def test_is_prime_rejects_a_prime_square():
+    assert not gf.is_prime(4)

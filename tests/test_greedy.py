@@ -275,3 +275,8 @@ def test_search_time_budget_excludes_table_build():
                               time_budget=0.5), plane=plane_of(101))
     assert rep.elapsed < 1.0
     assert rep.budget_exhausted
+
+
+def test_config_rejects_empty_sample():
+    with pytest.raises(ValueError):
+        SearchConfig(q=7, sample_size=0)

@@ -299,3 +299,10 @@ def test_deterministic_ordering():
     b = plane_of(8)
     ids = np.arange(a.n_points)
     assert (a.triples_of_ids(ids) == b.triples_of_ids(ids)).all()
+
+
+def test_incidence_tables_refused_above_the_budget():
+    pl = plane_of(128)
+    assert not pl.has_tables()
+    with pytest.raises(MemoryBudgetExceeded):
+        pl.incidence_tables()
