@@ -7,7 +7,8 @@ is covered, since an uncovered point could always be adjoined.
 
 ``verify_arc`` / ``verify_complete`` recompute everything from scratch and
 serve as the independent verifiers; they never read the plane's tables, and
-only they call ``join_ids``.  ``Coverage`` is the one incremental kernel:
+only they call ``join_ids``; secants are marked a band of mask rows at a
+time, in memory flat in q.  ``Coverage`` is the one incremental kernel:
 it adjoins uncovered points one at a time, keeps the covered mask and the
 uncovered count of every line through the arc, stored per arc point and
 pencil slot (lines numbered by direction, see ``PlaneIndex.join_slots``),
@@ -24,9 +25,9 @@ import numpy as np
 
 from .plane import TABLE_BYTE_CAP, PlaneIndex
 
-# elements in one block of working arrays: the points the verifier marks
-# at once (63 lines at q = 1024), a gains group (arc points x candidates),
-# the uncovered ids add places at once and the joins of one decrement
+# elements in one block of working arrays: the ids the verifier marks at
+# once (a quarter as many intp ids: 64 mask rows of 256 lines), a gains
+# group (arc points x candidates), the ids add places, a decrement's joins
 _BLOCK = 1 << 16
 
 
@@ -87,27 +88,43 @@ def verify_arc(arc: Arc) -> bool:
     return _arc_lines(arc) is not None
 
 
+def _covered(arc: Arc) -> tuple[bool, np.ndarray]:
+    """(complete, covered mask), computed as verify_complete describes."""
+    lids = _arc_lines(arc)
+    if lids is None:
+        raise NotAnArc("input fails the arc property")
+    pl, q = arc.plane, arc.plane.q
+    covered = arc.in_arc.copy()
+    steep, _, c, s = pl._slopes(lids)
+    flat, c, s = lids[~steep], c[steep], s[steep]
+    step = max(1, _BLOCK // (q + 1))  # vertical lines and the line at infinity
+    for lo in range(0, len(flat), step):
+        covered[pl.points_on_lines_arr(flat[lo:lo + step])] = True
+    covered[1 + q + c] = covered[1 + s] = True  # (1, 0, c) and (0, 1, s)
+    step = _BLOCK // 256  # steep lines per block: 128 KB of intp ids
+    blocks = [(c[lo:lo + step], s[lo:lo + step]) for lo in range(0, len(c), step)]
+    buf = np.empty(step * 64, dtype=np.intp)
+    for j0 in range(0, q - 1, 64):  # the band of rows x1 = g^j0 ... g^(j0+63)
+        w = min(64, q - 1 - j0)
+        for cb, sb in blocks:
+            covered[pl._steep_ids(cb, sb, j0, w, buf[:w * len(cb)].reshape(-1, w))] = True
+    return bool(covered.all()), covered
+
+
 def verify_complete(arc: Arc) -> tuple[bool, list[int]]:
     """Recompute coverage from scratch; return (complete, uncovered ids).
 
     Raises NotAnArc when the input fails the arc property, which it checks
-    on the same joins it marks.  Secants are marked a block of lines at a
-    time, at most _BLOCK points per block, so beyond the n-byte covered
-    mask the working memory does not grow with q.  Every uncovered id
-    returned could legally extend the arc.
+    on the same joins it marks.  A steep secant x2 = c + s*x1 has a point
+    in each q-byte mask row x1 = g^j, so those are marked a band of 64 rows
+    at a time (_BLOCK // 256 lines per block, intp ids in one reused block),
+    their two points off the rows once; beyond the n-byte mask the working
+    memory does not grow with q.  Every uncovered id could extend the arc.
     """
-    lids = _arc_lines(arc)
-    if lids is None:
-        raise NotAnArc("input fails the arc property")
-    pl = arc.plane
-    covered = arc.in_arc.copy()
-    step = max(1, _BLOCK // (pl.q + 1))  # lines per block
-    for lo in range(0, len(lids), step):
-        covered[pl.points_on_lines_arr(lids[lo:lo + step]).ravel()] = True
-    if covered.all():
+    complete, covered = _covered(arc)
+    if complete:
         return True, []
-    uncovered = np.logical_not(covered, out=covered)  # no second n-byte mask
-    return False, [int(x) for x in np.flatnonzero(uncovered)]
+    return False, np.flatnonzero(np.logical_not(covered, out=covered)).tolist()
 
 
 class Coverage:

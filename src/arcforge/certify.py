@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf
-from .arc import Arc, NotAnArc, verify_complete
+from .arc import Arc, NotAnArc, _covered
 from .gf import ReducibleModulus
 from .plane import ZeroTriple, build_plane, check_point_cap
 
@@ -54,7 +54,7 @@ def write_certificate(arc: Arc, path, complete: bool | None = None) -> None:
     passing a bool records that claim as-is.
     """
     if complete is None:
-        complete, _ = verify_complete(arc)
+        complete, _ = _covered(arc)
     f = arc.plane.field
     header = [f.q, f.p, f.h, *f.modulus]
     coords = arc.coords()
@@ -162,7 +162,7 @@ def read_and_verify(path) -> VerifyReport:
     """Independently re-verify a certificate from scratch."""
     arc, claimed_complete = read_certificate(path)
     try:
-        is_arc, is_complete = True, verify_complete(arc)[0]
+        is_arc, is_complete = True, _covered(arc)[0]
     except NotAnArc:
         is_arc = is_complete = False
     return VerifyReport(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .arc import Arc, Coverage, verify_complete
+from .arc import Arc, Coverage, _covered
 from .gf import factor_prime_power, field_of_order
 from .plane import PlaneIndex, build_plane, check_point_cap
 
@@ -309,7 +309,7 @@ def search(cfg: SearchConfig, jobs: int = 1,
     # min keeps the first of equals: ties go to the lowest index
     best_trial = min(range(len(results)), key=lambda i: len(results[i]))
     best_points = results[best_trial]
-    ok_complete, _ = verify_complete(Arc(plane, best_points))  # raises NotAnArc
+    ok_complete, _ = _covered(Arc(plane, best_points))  # raises NotAnArc
     if not ok_complete:
         raise AssertionError("search produced an incomplete arc")
 

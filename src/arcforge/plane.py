@@ -145,39 +145,38 @@ class PlaneIndex:
         s = -l1/l2 and c = -l0/l2, then (0, 1, s); a vertical line (l2 = 0)
         holds (1, a, t) with a = -l0/l1, then (0, 0, 1); the line at infinity
         (1, 0, 0) holds (0, 1, t) and (0, 0, 1).  A steep line lists t = g^j
-        for j < q - 1, then t = 0: its products s*g^j are one window of the
-        antilog table, exp_z[log s + j] (for s = 0 the window lies in the
-        table's zero tail), so a line costs one inverse and one window row,
-        and a point one sum and one offset.  By self-duality the same call
-        lists the lines through points.
+        for j < q - 1 (one window row, see _steep_ids), then t = 0.  By
+        self-duality the same call lists the lines through points.
         """
-        f, q, dt = self.field, self.q, self._dt
+        q, dt = self.q, self._dt
         lids = np.asarray(line_ids)
-        l0, l1, l2 = self.triples_of_ids(lids.reshape(-1)).T
-        steep = l2 != 0
-        inv = f.inv_arr(np.where(steep, l2, np.where(l1 != 0, l1, 1)))
-        c = f.mul_arr(f.neg_arr(l0), inv)  # intercept, or a when vertical
-        s = f.mul_arr(f.neg_arr(l1), inv)
-        # win[i] is the window exp_z[i:i+q+1], a view (sliding_window_view
-        # builds the same view at many times the per-call cost).  Column
-        # j < q-1 of out holds s*g^j, then c + s*g^j, then the id of
-        # (1, g^j, c + s*g^j); whole rows keep the in-place ops contiguous.
-        e = f._exp_z
-        win = np.ndarray((3 * q + 1, q + 1), e.dtype, e, strides=2 * e.strides)
-        out = win[f._log_z[s]]
-        if f.p == 2:
-            out ^= c[:, None]
-        else:
-            out = f.add_arr(out, c[:, None])
-        out += e[:q + 1] * q + (1 + q)
-        out[:, q - 1] = 1 + q + c
-        out[:, q] = 1 + s
+        steep, l1, c, s = self._slopes(lids.reshape(-1))
+        out = self._steep_ids(c, s, 0, q + 1)
+        out[:, q - 1], out[:, q] = 1 + q + c, 1 + s  # (1, 0, c), (0, 1, s)
         flat = np.flatnonzero(~steep)
         if len(flat):  # vertical lines, the line at infinity among them
             t = np.arange(q, dtype=dt)
             out[flat, :q] = np.where(l1[flat, None] != 0, 1 + q + c[flat, None] * q, 1) + t
             out[flat, q] = 0
         return out.reshape(lids.shape + (q + 1,))
+
+    def _slopes(self, lids):
+        """(steep, l1, c, s): l2 != 0, l1, and c, s of x2 = c + s*x1 or x1 = c."""
+        f = self.field
+        l0, l1, l2 = self.triples_of_ids(lids).T
+        steep = l2 != 0
+        inv = f.inv_arr(np.where(steep, l2, np.where(l1 != 0, l1, 1)))
+        return steep, l1, f.mul_arr(f.neg_arr(l0), inv), f.mul_arr(f.neg_arr(l1), inv)
+
+    def _steep_ids(self, c, s, j0, width, out=None):
+        """Ids of (1, g^j, c + s*g^j) for j0 <= j < j0 + width <= q + 1, a
+        row per line, into out if given: s*g^j is exp_z[log s + j] (the zero
+        tail when s = 0), read from the view win[i] = exp_z[j0 + i:][:width]
+        (sliding_window_view costs many times more per call)."""
+        f, q, e = self.field, self.q, self.field._exp_z
+        win = np.ndarray((3 * q + 1, width), e.dtype, e, j0 * e.itemsize, 2 * e.strides)
+        return np.add(f.add_arr(win[f._log_z[s]], c[:, None]),
+                      e[j0:j0 + width] * q + (1 + q), out=out)
 
     def join_slots(self, pids, ids):
         """Slot of the line joining pid to id in pid's pencil (broadcast).

@@ -590,6 +590,52 @@ def test_verify_complete_memory_is_one_block_plus_the_mask():
     assert peak <= arc.plane.n_points + 48 * arc_module._BLOCK
 
 
+def test_verdict_of_an_incomplete_certificate_takes_no_id_list(tmp_path):
+    # read_and_verify needs the verdict only: on a 4-point arc at q = 1024
+    # nearly every point is uncovered, and a list of their ids (about a
+    # million ints) would exceed the bound of the complete certificate above
+    import tracemalloc
+
+    from arcforge.certify import read_and_verify, write_certificate
+    pl = plane_of(1024)
+    path = tmp_path / "frame.arc"
+    write_certificate(Arc(pl, frame_ids(pl)), path, complete=False)
+    tracemalloc.start()
+    try:
+        report = read_and_verify(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.is_arc, report.is_complete, report.size) == (True, False, 4)
+    assert peak <= pl.n_points + 48 * arc_module._BLOCK
+
+
+@pytest.mark.parametrize("q", [125, 127, 128, 193, 243])
+def test_verify_complete_matches_the_secant_listing(q):
+    # the union of every secant's listed points, line by line, against the
+    # band loop where it runs several bands: q - 1 = 192 columns is three
+    # whole bands of 64, the other q end in a partial band; one arc holds
+    # two points at infinity, so vertical secants and the line at infinity
+    # are marked as well as horizontal ones (s = 0)
+    pl = plane_of(q)
+    rng = np.random.default_rng(q)
+    for start in ([pl.point_id([0, 0, 1]), pl.point_id([0, 1, 0])], []):
+        pts = list(start)
+        while True:
+            covered = np.zeros(pl.n_points, dtype=bool)
+            covered[pts] = True
+            if len(pts) > 1:
+                tri = pl.triples_of_ids(np.asarray(pts))
+                iu, ju = np.triu_indices(len(pts), 1)
+                covered[pl.points_on_lines_arr(pl.join_ids(tri[iu], tri[ju]))] = True
+            ok, unc = verify_complete(Arc(pl, pts))
+            assert ok == covered.all() and unc == np.flatnonzero(~covered).tolist()
+            if ok:
+                break
+            pts.append(int(rng.choice(np.flatnonzero(~covered))))
+        assert len(pts) > 2
+
+
 @pytest.mark.parametrize("source", ["rows", "tables", "computed"])
 def test_gains_of_no_candidates(source, monkeypatch):
     pl = plane_of(7)
