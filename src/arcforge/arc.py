@@ -69,12 +69,14 @@ class Arc:
 
 
 def _arc_lines(arc: Arc) -> np.ndarray | None:
-    """The C(k,2) lines joining pairs of arc points, or None when a point
-    repeats or three are collinear (two of the lines then coincide)."""
-    if len(set(arc.points)) != len(arc.points):
+    """The C(k,2) lines joining pairs of arc points, or None when k > q + 2
+    (no arc is larger, so no join is made), a point repeats or three are
+    collinear (two of the lines then coincide)."""
+    k = len(arc.points)
+    if k > arc.plane.q + 2 or len(set(arc.points)) != k:
         return None
     coords = arc.coords()
-    iu, ju = np.triu_indices(len(coords), 1)
+    iu, ju = np.triu_indices(k, 1)
     lids = arc.plane.join_ids(coords[iu], coords[ju])
     return lids if len(np.unique(lids)) == len(lids) else None
 
@@ -140,10 +142,11 @@ class Coverage:
     from coordinates via PlaneIndex.join_slots.  No step lists a pencil.
 
     Working memory is bounded and reused: gains and add work in blocks of
-    at most _BLOCK elements, in scratch arrays the instance keeps (grown to
-    what its blocks need, at most _BLOCK), and add compacts the uncovered
-    ids in place.  Arrays the public methods return are never scratch.
-    Never share one instance between concurrent workers.
+    at most _BLOCK elements, in scratch arrays of max(_BLOCK, q + 2)
+    elements allocated once here (a decrement block or the secant read may
+    take k elements, and k <= q + 2 as the kernel holds an arc), and add
+    compacts the uncovered ids in place.  Arrays the public methods return
+    are never scratch.  Never share one instance between concurrent workers.
     """
 
     def __init__(self, plane: PlaneIndex):
@@ -158,18 +161,12 @@ class Coverage:
             self._rows = np.empty((q + 2, n), dtype=plane._slot_dt)
         self._unc = np.arange(n)  # uncovered ids in _unc[:_m], ascending
         self._m = n
-        self._cap = 0  # scratch size, see _reserve
-
-    def _reserve(self, size: int) -> None:
-        """Grow the scratch arrays to at least size elements, doubling up
-        to _BLOCK; no block needs more than _BLOCK unless k does."""
-        if size > self._cap:
-            self._cap = cap = max(size, min(2 * self._cap, _BLOCK))
-            self._slot = np.empty(cap, dtype=self.plane._slot_dt)
-            self._pos = np.empty(cap, dtype=np.intp)
-            self._cnt = np.empty(cap, dtype=np.int32)
-            self._hit = np.empty(cap, dtype=bool)
-            self._sum = np.empty(cap, dtype=np.int64)
+        size = max(_BLOCK, q + 2)
+        self._slot = np.empty(size, dtype=plane._slot_dt)
+        self._pos = np.empty(size, dtype=np.intp)
+        self._cnt = np.empty(size, dtype=np.int32)
+        self._hit = np.empty(size, dtype=bool)
+        self._sum = np.empty(size, dtype=np.int64)
 
     @property
     def uncov_on_line(self) -> np.ndarray:
@@ -203,7 +200,6 @@ class Coverage:
     def _own_slots(self, ids: np.ndarray):
         """Slots of the joins of the last arc point to ids (the slot
         scratch when read from its slot row); no id is that point."""
-        self._reserve(len(ids))
         if self._rows is None:
             return self.plane.join_slots(self.arc_points[-1], ids)
         k = len(self.arc_points) - 1
@@ -212,7 +208,6 @@ class Coverage:
     def _positions(self, ids: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, len(ids)) count positions, in the position scratch, of
         the joins of arc_points[lo:hi] to ids; no id is in that group."""
-        self._reserve((hi - lo) * len(ids))
         out = self._pos[:(hi - lo) * len(ids)].reshape(hi - lo, len(ids))
         if self._rows is None:
             arc = np.asarray(self.arc_points[lo:hi])[:, None]

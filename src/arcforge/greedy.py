@@ -48,7 +48,7 @@ import numpy as np
 from . import bounds
 from .arc import Arc, Coverage, _covered
 from .gf import factor_prime_power, field_of_order
-from .plane import PlaneIndex, build_plane, check_point_cap
+from .plane import PlaneIndex, build_plane
 
 _BLOCK_TRIALS = 64      # trials per worker between merges and checks
 
@@ -194,7 +194,6 @@ def greedy_trial(plane: PlaneIndex, cfg: SearchConfig,
 def _plane_for(cfg: SearchConfig) -> PlaneIndex:
     if factor_prime_power(cfg.q) is None:
         raise ValueError(f"q = {cfg.q} is not a prime power")
-    check_point_cap(cfg.q)
     return build_plane(field_of_order(cfg.q))
 
 

@@ -46,24 +46,18 @@ class ZeroTriple(ValueError):
     """The zero triple, which is not a projective point."""
 
 
-def check_point_cap(q: int) -> None:
-    """Raise MemoryBudgetExceeded if PG(2,q) has more than DEFAULT_POINT_CAP
-    points; it needs q alone, so callers check before building the field."""
-    n = q * q + q + 1
-    if n > DEFAULT_POINT_CAP:
-        raise MemoryBudgetExceeded(
-            f"PG(2,{q}) has {n} points, above the cap of {DEFAULT_POINT_CAP}")
-
-
 class PlaneIndex:
     """PG(2,q) over a given field: ids, incidence, pencil slots."""
 
     def __init__(self, field: Field):
         q = field.q
-        check_point_cap(q)
+        n = q * q + q + 1
+        if n > DEFAULT_POINT_CAP:
+            raise MemoryBudgetExceeded(
+                f"PG(2,{q}) has {n} points, above the cap of {DEFAULT_POINT_CAP}")
         self.field = field
         self.q = q
-        self.n_points = self.n_lines = q * q + q + 1
+        self.n_points = self.n_lines = n
         self._dt = np.int32  # ids below q*q + q + 1 < 2**31 under the point cap
         # smallest dtype that holds the q+1 slots 0..q of a pencil
         self._slot_dt = np.uint8 if q < 256 else np.uint16

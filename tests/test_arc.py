@@ -153,6 +153,37 @@ def test_verify_complete_requires_arc():
         verify_complete(bad)
 
 
+def test_more_than_q_plus_2_points_make_no_join(tmp_path, capsys, monkeypatch):
+    # no arc of PG(2,q) has more than q + 2 points, so a larger set is
+    # refused before any of its C(k,2) pairs is joined
+    from arcforge.certify import write_certificate
+    from arcforge.cli import main
+    pl = plane_of(7)
+    full = Arc(pl, range(pl.q + 3))
+    path = tmp_path / "full.arc"
+    write_certificate(full, path, complete=False)
+
+    def no_join(self, u, v):
+        raise AssertionError("joined the pairs of an over-full set")
+    monkeypatch.setattr(PlaneIndex, "join_ids", no_join)
+    assert not verify_arc(full)
+    with pytest.raises(NotAnArc):
+        verify_complete(full)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("arc: no\n")
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_hyperoval_is_a_complete_arc(q):
+    # q + 2 points, the largest arc there is: the conic (1, t, t^2) with
+    # (0, 0, 1) and its nucleus (0, 1, 0), which q even gives
+    pl = plane_of(q)
+    a = Arc(pl, conic_ids(pl) + [pl.point_id([0, 1, 0])])
+    assert len(a) == q + 2
+    assert verify_arc(a)
+    assert verify_complete(a) == (True, [])
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_verify_complete_matches_oracle(q):
     # one raw incidence matrix per q serves both oracles
@@ -505,6 +536,9 @@ def test_grouped_gains_match_scratch(q, source, groups, monkeypatch):
     use_source(pl, source, monkeypatch)
     rng = np.random.default_rng(q)
     for _ in range(3):
+        # the scratch is sized when the kernel is built, for the largest
+        # block the growth below sets
+        set_groups(monkeypatch, groups, pl.n_points)
         cov = Coverage(pl)
         while not cov.is_complete():
             unc = cov.uncovered_ids()
@@ -512,6 +546,22 @@ def test_grouped_gains_match_scratch(q, source, groups, monkeypatch):
             check_against_scratch(cov, inc, unc)
             cov.add(int(rng.choice(unc)))
         check_against_scratch(cov, inc, cov.uncovered_ids())
+
+
+@pytest.mark.parametrize("source", ["rows", "tables", "computed"])
+@pytest.mark.parametrize("q", [3, 4, 7])
+def test_gains_of_repeated_candidates(q, source, monkeypatch):
+    # a gains block holds arc points x candidates <= _BLOCK elements, however
+    # many candidates there are: forty copies of every uncovered point make
+    # blocks far wider than the plane, up to q + 1 arc points deep
+    pl = plane_of(q)
+    use_source(pl, source, monkeypatch)
+    rng = np.random.default_rng(q)
+    cov = Coverage(pl)
+    while not cov.is_complete():
+        unc = cov.uncovered_ids()
+        assert (cov.gains(np.repeat(unc, 40)) == np.repeat(cov.gains(unc), 40)).all()
+        cov.add(int(rng.choice(unc)))
 
 
 @pytest.mark.parametrize("groups", ["one", "uneven"])
